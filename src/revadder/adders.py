@@ -31,10 +31,12 @@ from .simulate import (
     EXHAUSTIVE_LINE_LIMIT,
     BatchState,
     all_basis_states,
+    bits_to_int,
     is_bijection,
     permutation_of,
     simulate,
     simulate_batch,
+    transpose,
 )
 
 #: verify_rca enumerates all 2^(2n+1) vectors only up to this operand width.
@@ -288,14 +290,6 @@ def _set_bit_positions(word: int):
         word ^= low
 
 
-def _pack(bits) -> int:
-    word = 0
-    for j, bit in enumerate(bits):
-        if bit:
-            word |= 1 << j
-    return word
-
-
 def _check_lanes(
     circuit: Circuit,
     layout: AdderLayout,
@@ -318,15 +312,18 @@ def _check_lanes(
         if diff:
             bad_lanes[quantity].update(_set_bit_positions(diff))
 
+    expected_words = transpose(sums, n + 1)
     for i, line in enumerate(layout.sum_lines):
-        compare(_pack((s >> i) & 1 for s in sums), line, "sum")
-    compare(_pack((s >> n) & 1 for s in sums), layout.cout_line, "cout")
+        compare(expected_words[i], line, "sum")
+    compare(expected_words[n], layout.cout_line, "cout")
     for i in range(n):
         compare(in_words[layout.a_lines[i]], layout.a_lines[i], "a")
         compare(in_words[layout.b_lines[i]], layout.b_lines[i], "b")
 
-    def gather(lane: int, lines: Sequence[int]) -> int:
-        return _pack((out.words[line] >> lane) & 1 for line in lines)
+    rows = out.lanes_as_ints() if any(bad_lanes.values()) else []
+
+    def field(lane: int, lines: Sequence[int]) -> int:
+        return bits_to_int([(rows[lane] >> line) & 1 for line in lines])
 
     mismatches = []
     for quantity, lanes_bad in bad_lanes.items():
@@ -334,13 +331,13 @@ def _check_lanes(
             a, b, cin = operands(j)
             want_sum, want_cout = oracle_add(a, b, cin, n)
             if quantity == "sum":
-                expected, actual = want_sum, gather(j, layout.sum_lines)
+                expected, actual = want_sum, field(j, layout.sum_lines)
             elif quantity == "cout":
-                expected, actual = want_cout, (out.words[layout.cout_line] >> j) & 1
+                expected, actual = want_cout, field(j, (layout.cout_line,))
             elif quantity == "a":
-                expected, actual = a, gather(j, layout.a_lines)
+                expected, actual = a, field(j, layout.a_lines)
             else:
-                expected, actual = b, gather(j, layout.b_lines)
+                expected, actual = b, field(j, layout.b_lines)
             mismatches.append(Mismatch(a, b, cin, quantity, expected, actual))
     mismatches.sort(key=lambda m: (m.cin, m.a, m.b, m.quantity))
     return VerificationReport(lanes, tuple(mismatches))
@@ -396,11 +393,12 @@ def verify_rca(
         b_vals = [rng.getrandbits(n) for _ in range(trials)]
         cin_vals = [rng.getrandbits(1) for _ in range(trials)]
         lanes = trials
+        a_words, b_words = transpose(a_vals, n), transpose(b_vals, n)
         in_words = [0] * circuit.width
-        in_words[layout.cin_line] = _pack(cin_vals)
+        in_words[layout.cin_line] = transpose(cin_vals, 1)[0]
         for i in range(n):
-            in_words[layout.a_lines[i]] = _pack((a >> i) & 1 for a in a_vals)
-            in_words[layout.b_lines[i]] = _pack((b >> i) & 1 for b in b_vals)
+            in_words[layout.a_lines[i]] = a_words[i]
+            in_words[layout.b_lines[i]] = b_words[i]
         sums = [a + b + c for a, b, c in zip(a_vals, b_vals, cin_vals)]
 
         def operands(j: int) -> tuple[int, int, int]:

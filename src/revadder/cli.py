@@ -118,7 +118,7 @@ def _spec_from_roles(circuit: Circuit) -> FullAdderSpec | None:
 @click.argument("file", type=click.File("r"))
 @click.option("--mode", type=click.Choice(["auto", "exhaustive", "random"]),
               default="auto", help="Vector selection (auto: exhaustive when small).")
-@click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True,
+@click.option("--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True,
               help="Sample count in random mode.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
               help="Generator seed in random mode.")

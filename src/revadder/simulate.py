@@ -67,6 +67,23 @@ def simulate(circuit: Circuit, state: Sequence[int]) -> BitState:
     return state
 
 
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit j of `result[i]` is bit i of `rows[j]`.
+
+    This is the one conversion between per-lane integers and the
+    line-major words of a `BatchState`: packing passes the lane values
+    with `width` = line count, unpacking passes the words with `width` =
+    lane count. Precondition: every row is non-negative and fits in
+    `width` bits. Binary text keeps the cost linear in the matrix size.
+    """
+    if not rows or not width:
+        return [0] * width
+    # one string per row, most significant bit first
+    texts = [format(row, f"0{width}b") for row in rows]
+    columns = [int("".join(column)[::-1], 2) for column in zip(*texts)]
+    return columns[::-1]
+
+
 @dataclass(frozen=True)
 class BatchState:
     """Bit-parallel bundle of test vectors.
@@ -100,28 +117,19 @@ class BatchState:
         if not states:
             raise StructuralError("empty batch")
         width = len(states[0])
-        words = [0] * width
-        for j, state in enumerate(states):
-            if len(state) != width:
-                raise StructuralError("ragged states in batch")
-            for i, bit in enumerate(state):
-                if bit:
-                    words[i] |= 1 << j
-        return cls(tuple(words), len(states))
+        if any(len(state) != width for state in states):
+            raise StructuralError("ragged states in batch")
+        return cls.from_ints([bits_to_int(state) for state in states], width)
 
     @classmethod
     def from_ints(cls, values: Sequence[int], width: int) -> BatchState:
         """Pack one lane per integer-encoded state (line 0 = LSB)."""
         if not values:
             raise StructuralError("empty batch")
-        words = [0] * width
         for j, value in enumerate(values):
             if value < 0 or value >> width:
                 raise StructuralError(f"lane {j} value {value} exceeds width {width}")
-            for i in range(width):
-                if (value >> i) & 1:
-                    words[i] |= 1 << j
-        return cls(tuple(words), len(values))
+        return cls(tuple(transpose(values, width)), len(values))
 
     def lane(self, j: int) -> BitState:
         """The scalar state carried by lane j."""
@@ -131,7 +139,7 @@ class BatchState:
         return bits_to_int(self.lane(j))
 
     def lanes_as_ints(self) -> list[int]:
-        return [self.lane_int(j) for j in range(self.lanes)]
+        return transpose(self.words, self.lanes)
 
 
 def all_basis_states(width: int) -> BatchState:
@@ -198,14 +206,7 @@ def permutation_of(circuit: Circuit, limit: int = EXHAUSTIVE_LINE_LIMIT) -> Perm
             f"circuit has {circuit.width}"
         )
     out = simulate_batch(circuit, all_basis_states(circuit.width))
-    words = out.words
-    entries = []
-    for x in range(out.lanes):
-        value = 0
-        for i, word in enumerate(words):
-            value |= ((word >> x) & 1) << i
-        entries.append(value)
-    return PermutationTable(circuit.width, tuple(entries))
+    return PermutationTable(circuit.width, tuple(out.lanes_as_ints()))
 
 
 def is_bijection(table: PermutationTable) -> bool:

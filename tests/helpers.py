@@ -59,6 +59,20 @@ def circuits_st(draw, min_width: int = 1, max_width: int = 10, max_gates: int = 
     return new_circuit(width, roles).extend(gates)
 
 
+def transpose_reference(rows, width: int) -> list[int]:
+    """Bit-matrix transpose one bit at a time: bit j of result[i] is bit i of rows[j].
+
+    The per-bit loop the library used to pack lanes, kept as an
+    independent reference for `revadder.simulate.transpose`.
+    """
+    result = [0] * width
+    for j, row in enumerate(rows):
+        for i in range(width):
+            if (row >> i) & 1:
+                result[i] |= 1 << j
+    return result
+
+
 def bitstates_st(width: int):
     return st.lists(
         st.integers(0, 1), min_size=width, max_size=width

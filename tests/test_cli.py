@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import revadder
 from revadder import build_ppkn, canonical_layout, serialize_netlist
 from revadder.cli import main
 
@@ -134,6 +139,19 @@ def test_verify_random_mode_reports_trials():
     )
     assert result.exit_code == 0
     assert "PASS: 250 cases" in result.output
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_non_positive_trials(trials):
+    doc = invoke("build", "rca", "--bits", "9").output
+    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "revadder", "verify", "-", "--trials", trials],
+        input=doc, capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "--trials" in result.stderr
 
 
 def test_verify_exhaustive_beyond_cap_is_usage_error():

@@ -26,7 +26,9 @@ from revadder import (
     toffoli,
 )
 
-from helpers import bitstates_st, circuits_st, random_circuit
+from revadder.simulate import transpose
+
+from helpers import bitstates_st, circuits_st, random_circuit, transpose_reference
 
 
 def test_bits_int_round_trip():
@@ -94,6 +96,34 @@ def test_batch_from_ints_round_trip():
     batch = BatchState.from_ints(values, 3)
     assert batch.lanes_as_ints() == values
     assert batch.lane_int(2) == 7
+
+
+@st.composite
+def bit_matrices_st(draw):
+    width = draw(st.integers(1, 70))
+    rows = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=70))
+    return rows, width
+
+
+@given(bit_matrices_st())
+def test_transpose_matches_per_bit_reference(matrix):
+    rows, width = matrix
+    assert transpose(rows, width) == transpose_reference(rows, width)
+
+
+@given(bit_matrices_st())
+def test_transpose_is_its_own_inverse(matrix):
+    rows, width = matrix
+    assert transpose(transpose(rows, width), len(rows)) == rows
+
+
+def test_transpose_of_no_rows_is_all_zero():
+    assert transpose([], 3) == [0, 0, 0]
+
+
+def test_transpose_width_one():
+    assert transpose([1, 0, 1, 1], 1) == [0b1101]
+    assert transpose([0b1101], 4) == [1, 0, 1, 1]
 
 
 def test_batch_rejects_empty():
