@@ -200,14 +200,10 @@ def build_rca(n: int) -> tuple[Circuit, AdderLayout]:
         roles.append(named(f"B{i}", output=f"B{i}"))
         label = f"Sum{i + 1}" if i < n - 1 else "Cout"
         roles.append(ancilla(output=label))
-    circuit = new_circuit(layout.width, roles)
-    carry = layout.cin_line
-    for i in range(n):
-        circuit = circuit.extend(
-            ppkn_gates(carry, layout.a_lines[i], layout.b_lines[i], layout.ancilla_lines[i])
-        )
-        carry = layout.ancilla_lines[i]
-    return circuit, layout
+    carries = (layout.cin_line,) + layout.ancilla_lines[:-1]
+    blocks = zip(carries, layout.a_lines, layout.b_lines, layout.ancilla_lines)
+    gates = [gate for lines in blocks for gate in ppkn_gates(*lines)]
+    return new_circuit(layout.width, roles).extend(gates), layout
 
 
 @dataclass(frozen=True)

@@ -147,28 +147,22 @@ class Circuit:
                 f"{len(self.roles)} roles for width {self.width}"
             )
         for gate in self.gates:
-            self._check_gate(gate)
-
-    def _check_gate(self, gate: Gate) -> None:
-        if gate.max_line >= self.width:
-            raise StructuralError(
-                f"gate {gate.kind.value} uses line {gate.max_line}, "
-                f"width is {self.width}"
-            )
+            if gate.max_line >= self.width:
+                raise StructuralError(
+                    f"gate {gate.kind.value} uses line {gate.max_line}, "
+                    f"width is {self.width}"
+                )
 
     def __len__(self) -> int:
         return len(self.gates)
 
     def append(self, gate: Gate) -> Circuit:
         """Return a new circuit with `gate` appended at the end."""
-        self._check_gate(gate)
-        return replace(self, gates=self.gates + (gate,))
+        return self.extend((gate,))
 
     def extend(self, gates: Iterable[Gate]) -> Circuit:
-        circuit = self
-        for gate in gates:
-            circuit = circuit.append(gate)
-        return circuit
+        """Return a new circuit with `gates` appended, validated in one linear pass."""
+        return replace(self, gates=self.gates + tuple(gates))
 
     def inverse(self) -> Circuit:
         """The reversed gate list.

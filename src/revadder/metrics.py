@@ -4,8 +4,9 @@ The depth model: gates sharing only a control line may run in the same
 time step (fan-out from a shared control is free), but any overlap that
 involves a target forces sequencing. Two gates conflict when either
 one's target lies in the other's support (controls plus target). The
-scheduler is plain ASAP list scheduling over that conflict relation; the
-returned schedule is the witness for the reported depth.
+scheduler is ASAP list scheduling over that conflict relation, read from
+a per-line frontier in time linear in the gate count; the returned
+schedule is the witness for the reported depth.
 """
 from __future__ import annotations
 
@@ -64,19 +65,26 @@ def logical_depth(circuit: Circuit) -> tuple[int, Schedule]:
     Each gate lands one step after the deepest earlier gate it conflicts
     with (step 1 when unconstrained). Executing the schedule step by
     step, in any order within a step, reproduces sequential simulation.
+
+    Per line l, `targeted[l]` is the deepest step of a gate targeting l
+    and `touched[l]` that of a gate whose support holds l. The deepest
+    earlier conflict of a gate is the largest of touched[its target] and
+    targeted[its lines], so the cost is linear in the gate count.
     """
-    depths: list[int] = []
+    targeted = [0] * circuit.width
+    touched = [0] * circuit.width
+    steps: list[list[int]] = []
     for i, gate in enumerate(circuit.gates):
-        level = 0
-        for j in range(i):
-            if depths[j] > level and gates_conflict(circuit.gates[j], gate):
-                level = depths[j]
-        depths.append(level + 1)
-    depth = max(depths, default=0)
-    steps: list[list[int]] = [[] for _ in range(depth)]
-    for i, level in enumerate(depths):
+        target = gate.target
+        # targeted[target] <= touched[target], so the controls suffice
+        level = 1 + max([touched[target]] + [targeted[c] for c in gate.controls])
+        targeted[target] = touched[target] = level
+        for c in gate.controls:
+            touched[c] = max(touched[c], level)
+        if level > len(steps):
+            steps.append([])
         steps[level - 1].append(i)
-    return depth, Schedule(tuple(tuple(step) for step in steps))
+    return len(steps), Schedule(tuple(tuple(step) for step in steps))
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,8 @@ class BatchState:
 
     def lane(self, j: int) -> BitState:
         """The scalar state carried by lane j."""
+        if not 0 <= j < self.lanes:
+            raise StructuralError(f"lane {j} out of range for {self.lanes} lanes")
         return tuple((word >> j) & 1 for word in self.words)
 
     def lane_int(self, j: int) -> int:

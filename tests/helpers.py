@@ -73,6 +73,35 @@ def transpose_reference(rows, width: int) -> list[int]:
     return result
 
 
+def gates_conflict_reference(g, h) -> bool:
+    """The depth model's conflict rule, written apart from `revadder.metrics`."""
+    return g.target in set(h.controls) | {h.target} or h.target in set(
+        g.controls
+    ) | {g.target}
+
+
+def longest_path_levels(gates) -> list[int]:
+    """Per gate, the number of gates on the longest conflict chain ending at it.
+
+    An all-pairs longest-path DP over the conflict DAG, independent of the
+    scheduler in `revadder.metrics`.
+    """
+    best: list[int] = []
+    for j in range(len(gates)):
+        best.append(
+            1
+            + max(
+                (
+                    best[i]
+                    for i in range(j)
+                    if gates_conflict_reference(gates[i], gates[j])
+                ),
+                default=0,
+            )
+        )
+    return best
+
+
 def bitstates_st(width: int):
     return st.lists(
         st.integers(0, 1), min_size=width, max_size=width

@@ -3,8 +3,8 @@
 Each test covers one headline claim and prints a single PASS/FAIL line
 (bypassing capture) so a full run reads as a checklist. Expected values
 are hard-coded here, never recomputed from the modules under test, and
-the depth formula is cross-checked by local longest-path code that does
-not share the scheduler's implementation.
+the depth formula is cross-checked by test-side longest-path code that
+does not share the scheduler's implementation.
 """
 import dataclasses
 import random
@@ -32,7 +32,12 @@ from revadder import (
     verify_rca,
 )
 
-from helpers import assert_schedule_valid, random_circuit
+from helpers import (
+    assert_schedule_valid,
+    gates_conflict_reference,
+    longest_path_levels,
+    random_circuit,
+)
 
 PPKN_SCHEDULE = ((0, 1), (2,), (3, 4), (5,))
 SEED = 0x5EED
@@ -182,28 +187,9 @@ def test_exhaustive_enumeration_at_line_limit(capsys):
     )
 
 
-def _conflicts(g, h) -> bool:
-    return g.target in set(h.controls) | {h.target} or h.target in set(
-        g.controls
-    ) | {g.target}
-
-
-def _longest_chain_dp(gates) -> int:
-    best = []
-    for j in range(len(gates)):
-        best.append(
-            1
-            + max(
-                (best[i] for i in range(j) if _conflicts(gates[i], gates[j])),
-                default=0,
-            )
-        )
-    return max(best, default=0)
-
-
 def _longest_chain_enumerated(gates) -> int:
     preds = [
-        [i for i in range(j) if _conflicts(gates[i], gates[j])]
+        [i for i in range(j) if gates_conflict_reference(gates[i], gates[j])]
         for j in range(len(gates))
     ]
 
@@ -222,7 +208,7 @@ def test_cascade_depth_formula(capsys):
         circuit, _ = build_rca(n)
         depth, schedule = logical_depth(circuit)
         ok &= depth == 3 * n + 1
-        ok &= _longest_chain_dp(circuit.gates) == 3 * n + 1
+        ok &= max(longest_path_levels(circuit.gates)) == 3 * n + 1
         assert_schedule_valid(circuit, schedule)
     for n in (1, 2, 3, 4):
         circuit, _ = build_rca(n)
@@ -232,6 +218,29 @@ def test_cascade_depth_formula(capsys):
         "cascade depth is 3n+1 for n=1..8, agreeing with independent "
         "longest-path checks (DP, plus full chain enumeration for n<=4)",
         ok,
+    )
+
+
+def test_gate_list_path_at_1024_bits(capsys):
+    started = time.perf_counter()
+    circuit, layout = build_rca(1024)
+    document = serialize_netlist(circuit, layout)
+    parsed = parse_netlist(document)
+    depth, schedule = logical_depth(parsed[0])
+    elapsed = time.perf_counter() - started
+    ok = (
+        parsed == (circuit, layout)
+        and len(circuit.gates) == 6 * 1024
+        and depth == 3 * 1024 + 1
+        and schedule.depth == depth
+        and elapsed < 1.0
+    )
+    announce(
+        capsys,
+        "1024-bit cascade: build, serialize, parse and depth 3073 in under "
+        "1 s, round trip equal",
+        ok,
+        f"{elapsed * 1000:.0f} ms",
     )
 
 

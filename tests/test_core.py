@@ -84,10 +84,23 @@ def test_gate_lines_nonnegative():
         Gate(GateKind.CNOT, (-2,), 0)
 
 
-def test_append_rejects_out_of_range_gate():
-    c = new_circuit(2, (named("a"), named("b")))
+BAD_BATCH = (cnot(1, 0), toffoli(0, 1, 2), not_gate(1))
+
+
+@pytest.mark.parametrize(
+    "add",
+    [
+        lambda c: c.append(toffoli(0, 1, 2)),
+        lambda c: c.extend(list(BAD_BATCH)),
+        lambda c: c.extend(gate for gate in BAD_BATCH),
+    ],
+    ids=["append", "extend-mid-batch", "extend-generator"],
+)
+def test_append_rejects_out_of_range_gate(add):
+    c = new_circuit(2, (named("a"), named("b"))).append(cnot(0, 1))
     with pytest.raises(StructuralError):
-        c.append(toffoli(0, 1, 2))
+        add(c)
+    assert c.width == 2 and c.gates == (cnot(0, 1),)
 
 
 def test_toffoli_control_order_normalized():

@@ -10,6 +10,7 @@ from revadder import (
     TSG_PUBLISHED,
     BatchState,
     CostModel,
+    GateKind,
     analyze,
     ancilla,
     build_hng_reference,
@@ -30,7 +31,13 @@ from revadder import (
     toffoli,
 )
 
-from helpers import assert_schedule_valid, bitstates_st, circuits_st
+from helpers import (
+    assert_schedule_valid,
+    bitstates_st,
+    circuits_st,
+    longest_path_levels,
+    random_circuit,
+)
 
 PPKN_SCHEDULE = ((0, 1), (2,), (3, 4), (5,))
 
@@ -138,6 +145,29 @@ def test_schedule_is_valid_partition(c):
     depth, schedule = logical_depth(c)
     assert depth == schedule.depth == len(schedule.timesteps)
     assert_schedule_valid(c, schedule)
+
+
+def test_schedule_steps_match_longest_path_dp_per_gate():
+    rng = random.Random(0xDE97)
+    nots = fanouts = 0
+    for _ in range(150):
+        c = random_circuit(rng, rng.randint(1, 10), rng.randint(0, 100))
+        depth, schedule = logical_depth(c)
+        step_of = {i: t for t, step in enumerate(schedule.timesteps, 1) for i in step}
+        levels = longest_path_levels(c.gates)
+        assert [step_of[i] for i in range(len(c.gates))] == levels
+        assert depth == max(levels, default=0)
+        assert_schedule_valid(c, schedule)
+        nots += c.count(GateKind.NOT)
+        fanouts += sum(
+            1
+            for step in schedule.timesteps
+            for x in step
+            for y in step
+            if x < y and set(c.gates[x].controls) & set(c.gates[y].controls)
+        )
+    # the sample exercises unconditional flips and controls shared in one step
+    assert nots > 0 and fanouts > 0
 
 
 @given(circuits_st(max_width=8, max_gates=40))

@@ -98,6 +98,14 @@ def test_batch_from_ints_round_trip():
     assert batch.lane_int(2) == 7
 
 
+@pytest.mark.parametrize("j", [1, 5, -1])
+def test_batch_lane_rejects_missing_lane(j):
+    batch = BatchState((1, 0), 1)
+    for read in (batch.lane, batch.lane_int):
+        with pytest.raises(StructuralError, match=rf"lane {j} .*1 lanes"):
+            read(j)
+
+
 @st.composite
 def bit_matrices_st(draw):
     width = draw(st.integers(1, 70))
