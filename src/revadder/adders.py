@@ -31,7 +31,6 @@ from .simulate import (
     EXHAUSTIVE_LINE_LIMIT,
     BatchState,
     all_basis_states,
-    bits_to_int,
     is_bijection,
     permutation_of,
     simulate,
@@ -280,10 +279,12 @@ def verify_full_adder(circuit: Circuit, spec: FullAdderSpec) -> VerificationRepo
 
 
 def _set_bit_positions(word: int):
-    while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
+    """Indices of the set bits of `word`, ascending, in one pass over its text."""
+    bits = format(word, "b")[::-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 def _check_lanes(
@@ -296,45 +297,33 @@ def _check_lanes(
 ) -> VerificationReport:
     """Word-level comparison of a simulated batch against oracle sums.
 
-    Each checked line yields one expected word; differing words are
-    expanded into per-lane counterexample rows only on failure.
+    Each checked line yields one expected word. Only on failure are the
+    output lines of a quantity that differs unpacked, once, into per-lane
+    values for its counterexample rows.
     """
     n = layout.n_bits
     out = simulate_batch(circuit, BatchState(tuple(in_words), lanes))
-    bad_lanes: dict[str, set[int]] = {"sum": set(), "cout": set(), "a": set(), "b": set()}
-
-    def compare(expected_word: int, line: int, quantity: str) -> None:
-        diff = expected_word ^ out.words[line]
-        if diff:
-            bad_lanes[quantity].update(_set_bit_positions(diff))
-
-    expected_words = transpose(sums, n + 1)
-    for i, line in enumerate(layout.sum_lines):
-        compare(expected_words[i], line, "sum")
-    compare(expected_words[n], layout.cout_line, "cout")
-    for i in range(n):
-        compare(in_words[layout.a_lines[i]], layout.a_lines[i], "a")
-        compare(in_words[layout.b_lines[i]], layout.b_lines[i], "b")
-
-    rows = out.lanes_as_ints() if any(bad_lanes.values()) else []
-
-    def field(lane: int, lines: Sequence[int]) -> int:
-        return bits_to_int([(rows[lane] >> line) & 1 for line in lines])
-
+    sum_words = transpose(sums, n + 1)
+    checks = (
+        ("sum", layout.sum_lines, sum_words[:n]),
+        ("cout", (layout.cout_line,), sum_words[n:]),
+        ("a", layout.a_lines, [in_words[line] for line in layout.a_lines]),
+        ("b", layout.b_lines, [in_words[line] for line in layout.b_lines]),
+    )
     mismatches = []
-    for quantity, lanes_bad in bad_lanes.items():
-        for j in sorted(lanes_bad):
+    for quantity, lines, expected_words in checks:
+        got = [out.words[line] for line in lines]
+        bad = 0
+        for expected_word, word in zip(expected_words, got):
+            bad |= expected_word ^ word
+        if not bad:
+            continue
+        actual = transpose(got, lanes)
+        for j in _set_bit_positions(bad):
             a, b, cin = operands(j)
             want_sum, want_cout = oracle_add(a, b, cin, n)
-            if quantity == "sum":
-                expected, actual = want_sum, field(j, layout.sum_lines)
-            elif quantity == "cout":
-                expected, actual = want_cout, field(j, (layout.cout_line,))
-            elif quantity == "a":
-                expected, actual = a, field(j, layout.a_lines)
-            else:
-                expected, actual = b, field(j, layout.b_lines)
-            mismatches.append(Mismatch(a, b, cin, quantity, expected, actual))
+            expected = {"sum": want_sum, "cout": want_cout, "a": a, "b": b}[quantity]
+            mismatches.append(Mismatch(a, b, cin, quantity, expected, actual[j]))
     mismatches.sort(key=lambda m: (m.cin, m.a, m.b, m.quantity))
     return VerificationReport(lanes, tuple(mismatches))
 

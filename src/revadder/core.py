@@ -7,6 +7,7 @@ are immutable: builders return new values, so they are safe to share.
 """
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -146,7 +147,10 @@ class Circuit:
             raise StructuralError(
                 f"{len(self.roles)} roles for width {self.width}"
             )
-        for gate in self.gates:
+        self._check_gates(self.gates)
+
+    def _check_gates(self, gates: tuple[Gate, ...]) -> None:
+        for gate in gates:
             if gate.max_line >= self.width:
                 raise StructuralError(
                     f"gate {gate.kind.value} uses line {gate.max_line}, "
@@ -161,8 +165,12 @@ class Circuit:
         return self.extend((gate,))
 
     def extend(self, gates: Iterable[Gate]) -> Circuit:
-        """Return a new circuit with `gates` appended, validated in one linear pass."""
-        return replace(self, gates=self.gates + tuple(gates))
+        """Return a new circuit with `gates` appended, validating only those gates."""
+        added = tuple(gates)
+        self._check_gates(added)
+        extended = copy.copy(self)
+        object.__setattr__(extended, "gates", self.gates + added)
+        return extended
 
     def inverse(self) -> Circuit:
         """The reversed gate list.

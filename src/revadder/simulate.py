@@ -78,10 +78,11 @@ def transpose(rows: Sequence[int], width: int) -> list[int]:
     """
     if not rows or not width:
         return [0] * width
-    # one string per row, most significant bit first
-    texts = [format(row, f"0{width}b") for row in rows]
-    columns = [int("".join(column)[::-1], 2) for column in zip(*texts)]
-    return columns[::-1]
+    # last row first, each most significant bit first: the stride slice
+    # for bit i then reads that bit of every row, last row first
+    spec = f"0{width}b"
+    text = "".join([format(row, spec) for row in reversed(rows)])
+    return [int(text[width - 1 - i :: width], 2) for i in range(width)]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,16 @@ import random
 
 from hypothesis import strategies as st
 
-from revadder import Gate, GateKind, ancilla, named, new_circuit
+from revadder import (
+    Gate,
+    GateKind,
+    Mismatch,
+    ancilla,
+    named,
+    new_circuit,
+    oracle_add,
+    simulate,
+)
 
 
 def available_kinds(width: int) -> list[GateKind]:
@@ -71,6 +80,38 @@ def transpose_reference(rows, width: int) -> list[int]:
             if (row >> i) & 1:
                 result[i] |= 1 << j
     return result
+
+
+def reference_mismatches(circuit, layout, rows) -> tuple:
+    """Mismatches of an adder cascade on (a, b, cin) rows, one row at a time.
+
+    Each row is encoded onto the layout's lines, run through the scalar
+    `simulate`, and its sum, carry-out and operand lines compared with
+    `oracle_add`: an expansion written apart from the word-level check in
+    `revadder.adders`. Rows are listed in report order, (cin, a, b,
+    quantity), with a repeated row listed once per occurrence.
+    """
+    n = layout.n_bits
+    found = []
+    for a, b, cin in rows:
+        state = [0] * circuit.width
+        state[layout.cin_line] = cin
+        for i in range(n):
+            state[layout.a_lines[i]] = (a >> i) & 1
+            state[layout.b_lines[i]] = (b >> i) & 1
+        out = simulate(circuit, state)
+        want_sum, want_cout = oracle_add(a, b, cin, n)
+        for quantity, expected, lines in (
+            ("sum", want_sum, layout.sum_lines),
+            ("cout", want_cout, (layout.cout_line,)),
+            ("a", a, layout.a_lines),
+            ("b", b, layout.b_lines),
+        ):
+            actual = sum(out[line] << k for k, line in enumerate(lines))
+            if actual != expected:
+                found.append(Mismatch(a, b, cin, quantity, expected, actual))
+    found.sort(key=lambda m: (m.cin, m.a, m.b, m.quantity))
+    return tuple(found)
 
 
 def gates_conflict_reference(g, h) -> bool:

@@ -244,6 +244,21 @@ def test_gate_list_path_at_1024_bits(capsys):
     )
 
 
+def test_random_verify_at_1024_bits(capsys):
+    circuit, layout = build_rca(1024)
+    started = time.perf_counter()
+    report = verify_rca(circuit, layout, mode="random", trials=10000)
+    elapsed = time.perf_counter() - started
+    ok = report.passed and report.cases == 10000 and elapsed < 1.0
+    announce(
+        capsys,
+        "1024-bit cascade: 10k random vectors verified in under 1 s, "
+        "zero mismatches",
+        ok,
+        f"{elapsed * 1000:.0f} ms",
+    )
+
+
 def test_property_suites(capsys):
     rng = random.Random(SEED)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from itertools import product
 
 import pytest
@@ -32,6 +33,8 @@ from revadder import (
     verify_full_adder,
     verify_rca,
 )
+
+from helpers import reference_mismatches
 
 
 def test_oracle_add_basics():
@@ -350,6 +353,37 @@ def test_truncated_cascade_fails_exhaustive_check():
     broken = dataclasses.replace(c, gates=c.gates[:-1])
     report = verify_rca(broken, layout)
     assert not report.passed
+
+
+def _rca_without(n: int, index: int):
+    c, layout = build_rca(n)
+    return dataclasses.replace(c, gates=c.gates[:index] + c.gates[index + 1 :]), layout
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_random_mismatches_match_scalar_reference(seed):
+    n, trials = 5, 2000
+    broken, layout = _rca_without(n, random.Random(seed).randrange(6 * n))
+    report = verify_rca(broken, layout, "random", trials=trials, seed=seed)
+    # the vectors random mode draws: every a, then every b, then every cin
+    rng = random.Random(seed)
+    a_vals = [rng.getrandbits(n) for _ in range(trials)]
+    b_vals = [rng.getrandbits(n) for _ in range(trials)]
+    cin_vals = [rng.getrandbits(1) for _ in range(trials)]
+    assert not report.passed
+    assert report.mismatches == reference_mismatches(
+        broken, layout, zip(a_vals, b_vals, cin_vals)
+    )
+
+
+def test_exhaustive_mismatches_match_scalar_reference():
+    n = 3
+    rows = list(product(range(1 << n), range(1 << n), (0, 1)))
+    for index in range(6 * n):
+        broken, layout = _rca_without(n, index)
+        report = verify_rca(broken, layout)
+        assert not report.passed, index
+        assert report.mismatches == reference_mismatches(broken, layout, rows), index
 
 
 # ---------------------------------------------------------- prefix algebra

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from revadder import (
     GateKind,
     StructuralError,
     ancilla,
+    build_rca,
     cnot,
     named,
     new_circuit,
@@ -57,6 +59,17 @@ def test_extend_preserves_order():
     gates = (cnot(0, 1), not_gate(0), toffoli(0, 1, 2))
     c = new_circuit(3, (named("a"), named("b"), ancilla())).extend(gates)
     assert c.gates == gates
+
+
+def test_appending_one_gate_at_a_time_is_linear():
+    built, _ = build_rca(1024)
+    started = time.perf_counter()
+    c = new_circuit(built.width, built.roles)
+    for gate in built.gates:
+        c = c.append(gate)
+    elapsed = time.perf_counter() - started
+    assert c == built and len(c) == 6 * 1024
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def test_gate_arity_enforced():
