@@ -5,7 +5,7 @@
 standard 2-Toffoli baseline realizing (A, B, Cin, 0) -> (A, B, Sum, Cout);
 `build_rca` chains n adder blocks, each block's carry ancilla feeding the
 next block's carry-in line. Everything is checked against plain integer
-addition (`oracle_add`), never against the circuits themselves.
+addition (`oracle_add` and its word-wide form), never against a circuit.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import io
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 from .core import (
     CapacityError,
@@ -287,44 +287,64 @@ def _set_bit_positions(word: int):
         i = bits.find("1", i + 1)
 
 
-def _check_lanes(
-    circuit: Circuit,
-    layout: AdderLayout,
-    in_words: Sequence[int],
-    lanes: int,
-    sums: Sequence[int],
-    operands: Callable[[int], tuple[int, int, int]],
-) -> VerificationReport:
-    """Word-level comparison of a simulated batch against oracle sums.
+def _ripple_words(
+    a_words: Sequence[int], b_words: Sequence[int], carry: int
+) -> tuple[list[int], int]:
+    """Expected sum words and carry-out word of a word-wide ripple carry.
 
-    Each checked line yields one expected word. Only on failure are the
-    output lines of a quantity that differs unpacked, once, into per-lane
-    values for its counterexample rows.
+    Bit j of every word is lane j. Written from binary addition alone:
+    s_i = a_i ^ b_i ^ c and c' = maj(a_i, b_i, c), never from a circuit.
+    """
+    sums = []
+    for a, b in zip(a_words, b_words):
+        half = a ^ b
+        sums.append(half ^ carry)
+        carry = (a & b) | (carry & half)
+    return sums, carry
+
+
+def _check_lanes(
+    circuit: Circuit, layout: AdderLayout, lanes: int,
+    cin_word: int, a_words: Sequence[int], b_words: Sequence[int],
+) -> VerificationReport:
+    """Run the operand words through the circuit and compare with the ripple oracle.
+
+    A pass compares words only. A failure unpacks the operand words and
+    the differing output lines once each, and lists each distinct
+    counterexample once.
     """
     n = layout.n_bits
+    operand_words = [cin_word, *a_words, *b_words]
+    in_words = [0] * circuit.width
+    for line, word in zip((layout.cin_line,) + layout.a_lines + layout.b_lines, operand_words):
+        in_words[line] = word
     out = simulate_batch(circuit, BatchState(tuple(in_words), lanes))
-    sum_words = transpose(sums, n + 1)
+    sum_words, cout_word = _ripple_words(a_words, b_words, cin_word)
     checks = (
-        ("sum", layout.sum_lines, sum_words[:n]),
-        ("cout", (layout.cout_line,), sum_words[n:]),
-        ("a", layout.a_lines, [in_words[line] for line in layout.a_lines]),
-        ("b", layout.b_lines, [in_words[line] for line in layout.b_lines]),
+        ("sum", layout.sum_lines, sum_words),
+        ("cout", (layout.cout_line,), [cout_word]),
+        ("a", layout.a_lines, a_words),
+        ("b", layout.b_lines, b_words),
     )
-    mismatches = []
-    for quantity, lines, expected_words in checks:
+    rows, found, m = None, set(), (1 << n) - 1
+    for pick, (quantity, lines, expected_words) in enumerate(checks):
         got = [out.words[line] for line in lines]
         bad = 0
         for expected_word, word in zip(expected_words, got):
             bad |= expected_word ^ word
         if not bad:
             continue
+        if rows is None:
+            # lane j's row: bit 0 is cin, bits 1..n are a, bits n+1..2n are b
+            rows = transpose(operand_words, lanes)
         actual = transpose(got, lanes)
         for j in _set_bit_positions(bad):
-            a, b, cin = operands(j)
-            want_sum, want_cout = oracle_add(a, b, cin, n)
-            expected = {"sum": want_sum, "cout": want_cout, "a": a, "b": b}[quantity]
-            mismatches.append(Mismatch(a, b, cin, quantity, expected, actual[j]))
-    mismatches.sort(key=lambda m: (m.cin, m.a, m.b, m.quantity))
+            row = rows[j]
+            found.add((row & 1, (row >> 1) & m, row >> (n + 1), quantity, pick, actual[j]))
+    mismatches = []
+    for cin, a, b, quantity, pick, actual in sorted(found):
+        expected = (*oracle_add(a, b, cin, n), a, b)[pick]
+        mismatches.append(Mismatch(a, b, cin, quantity, expected, actual))
     return VerificationReport(lanes, tuple(mismatches))
 
 
@@ -336,13 +356,14 @@ def verify_rca(
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
-    """Check an n-bit cascade against `oracle_add`.
+    """Check an n-bit cascade against integer addition.
 
     Exhaustive mode enumerates all 2^(2n+1) operand combinations
-    (permitted for n <= 8); random mode samples `trials` seeded vectors.
-    Checked on every vector: all sum bits (which live on the carry-in
-    line and the intermediate ancillas), the final carry, and bit-exact
-    preservation of every A and B line.
+    (permitted for n <= 8); random mode samples `trials` seeded vectors,
+    drawn line-major: one `trials`-bit word per line, a_0..a_{n-1}, then
+    b_0..b_{n-1}, then cin. Checked on every vector: all sum bits (which
+    live on the carry-in line and the intermediate ancillas), the final
+    carry, and bit-exact preservation of every A and B line.
     """
     n = layout.n_bits
     lines = (layout.cin_line,) + layout.a_lines + layout.b_lines + layout.ancilla_lines
@@ -359,40 +380,17 @@ def verify_rca(
         # lane index encodes (cin, a, b) directly: j = cin | a<<1 | b<<(n+1)
         lanes = 1 << (2 * n + 1)
         masks = all_basis_states(2 * n + 1).words
-        in_words = [0] * circuit.width
-        in_words[layout.cin_line] = masks[0]
-        for i in range(n):
-            in_words[layout.a_lines[i]] = masks[1 + i]
-            in_words[layout.b_lines[i]] = masks[n + 1 + i]
-        m = (1 << n) - 1
-        sums = [((j >> 1) & m) + ((j >> (n + 1)) & m) + (j & 1) for j in range(lanes)]
-
-        def operands(j: int) -> tuple[int, int, int]:
-            return (j >> 1) & m, (j >> (n + 1)) & m, j & 1
-
+        cin_word, a_words, b_words = masks[0], masks[1 : n + 1], masks[n + 1 :]
     elif mode == "random":
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         rng = random.Random(seed)
-        a_vals = [rng.getrandbits(n) for _ in range(trials)]
-        b_vals = [rng.getrandbits(n) for _ in range(trials)]
-        cin_vals = [rng.getrandbits(1) for _ in range(trials)]
         lanes = trials
-        a_words, b_words = transpose(a_vals, n), transpose(b_vals, n)
-        in_words = [0] * circuit.width
-        in_words[layout.cin_line] = transpose(cin_vals, 1)[0]
-        for i in range(n):
-            in_words[layout.a_lines[i]] = a_words[i]
-            in_words[layout.b_lines[i]] = b_words[i]
-        sums = [a + b + c for a, b, c in zip(a_vals, b_vals, cin_vals)]
-
-        def operands(j: int) -> tuple[int, int, int]:
-            return a_vals[j], b_vals[j], cin_vals[j]
-
+        words = [rng.getrandbits(trials) for _ in range(2 * n + 1)]
+        a_words, b_words, cin_word = words[:n], words[n : 2 * n], words[2 * n]
     else:
         raise ValueError(f"unknown verification mode: {mode!r}")
-
-    return _check_lanes(circuit, layout, in_words, lanes, sums, operands)
+    return _check_lanes(circuit, layout, lanes, cin_word, a_words, b_words)
 
 
 # ---------------------------------------------------------------- rendering

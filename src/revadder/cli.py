@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification found counterexamples, 2 bad
-usage/flags, 3 netlist parse error. File arguments accept `-` for
-standard input/output, so commands compose in pipelines:
+usage/flags, 3 netlist not decodable as text or not parsable. File
+arguments accept `-` for standard input/output, so commands compose:
 
     revadder build ppkn | revadder metrics -
     revadder build rca --bits 3 | revadder verify -
@@ -50,7 +50,7 @@ def _read_document(ctx: click.Context, fh) -> tuple:
     name = getattr(fh, "name", "<input>")
     try:
         return parse_netlist(fh.read())
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         click.echo(f"{name}: {exc}", err=True)
         ctx.exit(EXIT_PARSE_ERROR)
 

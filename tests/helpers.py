@@ -88,12 +88,12 @@ def reference_mismatches(circuit, layout, rows) -> tuple:
     Each row is encoded onto the layout's lines, run through the scalar
     `simulate`, and its sum, carry-out and operand lines compared with
     `oracle_add`: an expansion written apart from the word-level check in
-    `revadder.adders`. Rows are listed in report order, (cin, a, b,
-    quantity), with a repeated row listed once per occurrence.
+    `revadder.adders`. Mismatches are listed in report order, (cin, a, b,
+    quantity), and a row drawn more than once is checked and listed once.
     """
     n = layout.n_bits
     found = []
-    for a, b, cin in rows:
+    for a, b, cin in dict.fromkeys(rows):
         state = [0] * circuit.width
         state[layout.cin_line] = cin
         for i in range(n):

@@ -33,8 +33,9 @@ from revadder import (
     verify_full_adder,
     verify_rca,
 )
+from revadder.adders import _ripple_words
 
-from helpers import reference_mismatches
+from helpers import reference_mismatches, transpose_reference
 
 
 def test_oracle_add_basics():
@@ -360,20 +361,70 @@ def _rca_without(n: int, index: int):
     return dataclasses.replace(c, gates=c.gates[:index] + c.gates[index + 1 :]), layout
 
 
+def _drawn_rows(n: int, trials: int, seed: int) -> list:
+    """The (a, b, cin) rows random mode draws, decoded lane by lane.
+
+    Random mode draws one `trials`-bit word per line: every a bit, then
+    every b bit, then cin; lane j's row is bit j of each word.
+    """
+    rng = random.Random(seed)
+    words = [rng.getrandbits(trials) for _ in range(2 * n + 1)]
+    m = (1 << n) - 1
+    return [
+        (row & m, (row >> n) & m, row >> (2 * n))
+        for row in transpose_reference(words, trials)
+    ]
+
+
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_random_mismatches_match_scalar_reference(seed):
     n, trials = 5, 2000
     broken, layout = _rca_without(n, random.Random(seed).randrange(6 * n))
     report = verify_rca(broken, layout, "random", trials=trials, seed=seed)
-    # the vectors random mode draws: every a, then every b, then every cin
-    rng = random.Random(seed)
-    a_vals = [rng.getrandbits(n) for _ in range(trials)]
-    b_vals = [rng.getrandbits(n) for _ in range(trials)]
-    cin_vals = [rng.getrandbits(1) for _ in range(trials)]
     assert not report.passed
     assert report.mismatches == reference_mismatches(
-        broken, layout, zip(a_vals, b_vals, cin_vals)
+        broken, layout, _drawn_rows(n, trials, seed)
     )
+
+
+def test_random_mode_lists_each_mismatch_once():
+    # 2,000 lanes over the 32 rows of a 2-bit adder: every row is drawn
+    # many times, and each of its mismatches must still appear once
+    n, trials, seed = 2, 2000, 7
+    broken, layout = _rca_without(n, 2)
+    rows = _drawn_rows(n, trials, seed)
+    assert len(set(rows)) < len(rows)
+    report = verify_rca(broken, layout, "random", trials=trials, seed=seed)
+    assert report.cases == trials
+    assert not report.passed
+    keys = [(m.a, m.b, m.cin, m.quantity) for m in report.mismatches]
+    assert len(keys) == len(set(keys))
+    assert report.mismatches == reference_mismatches(broken, layout, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 300), st.data())
+def test_ripple_words_match_oracle_add_lane_by_lane(n, lanes, data):
+    word = st.integers(0, (1 << lanes) - 1)
+    a_words = data.draw(st.lists(word, min_size=n, max_size=n))
+    b_words = data.draw(st.lists(word, min_size=n, max_size=n))
+    cin_word = data.draw(word)
+    sum_words, cout_word = _ripple_words(a_words, b_words, cin_word)
+    assert len(sum_words) == n
+    for j in range(lanes):
+        a = sum(((w >> j) & 1) << i for i, w in enumerate(a_words))
+        b = sum(((w >> j) & 1) << i for i, w in enumerate(b_words))
+        got_sum = sum(((w >> j) & 1) << i for i, w in enumerate(sum_words))
+        want = oracle_add(a, b, (cin_word >> j) & 1, n)
+        assert (got_sum, (cout_word >> j) & 1) == want
+
+
+def test_random_mode_fails_every_one_gate_deletion_at_32_bits():
+    for index in range(6 * 32):
+        broken, layout = _rca_without(32, index)
+        report = verify_rca(broken, layout, "random", trials=1000, seed=index)
+        assert not report.passed, index
+        assert report.cases == 1000
 
 
 def test_exhaustive_mismatches_match_scalar_reference():

@@ -154,6 +154,20 @@ def test_verify_rejects_non_positive_trials(trials):
     assert "--trials" in result.stderr
 
 
+@pytest.mark.parametrize("command", ["metrics", "verify", "export"])
+def test_non_utf8_input_is_a_parse_error(command):
+    # UTF-8 mode pins the text encoding whatever the locale
+    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]), PYTHONUTF8="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "revadder", command, "-"],
+        input=b"\xff\xfe", capture_output=True, env=env,
+    )
+    assert result.returncode == 3
+    stderr = result.stderr.decode()
+    assert "Traceback" not in stderr
+    assert stderr.startswith("<stdin>: ") and stderr.count("\n") == 1
+
+
 def test_verify_exhaustive_beyond_cap_is_usage_error():
     doc = invoke("build", "rca", "--bits", "9").output
     result = invoke("verify", "-", "--mode", "exhaustive", input=doc)
