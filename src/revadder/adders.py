@@ -9,11 +9,8 @@ addition (`oracle_add` and its word-wide form), never against a circuit.
 """
 from __future__ import annotations
 
-import csv
-import io
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Literal, Optional, Sequence
 
 from .core import (
@@ -33,7 +30,6 @@ from .simulate import (
     all_basis_states,
     is_bijection,
     permutation_of,
-    simulate,
     simulate_batch,
     transpose,
 )
@@ -58,32 +54,14 @@ def oracle_add(a: int, b: int, cin: int, n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class FullAdderSpec:
-    """Line roles of a 1-bit input-preserving adder.
-
-    The contract: the carry-in line ends up holding Sum, the a and b
-    lines are preserved, and the constant-0 ancilla ends up holding Cout.
-    """
-
-    cin_line: int
-    a_line: int
-    b_line: int
-    ancilla_line: int
-
-    def __post_init__(self) -> None:
-        lines = (self.cin_line, self.a_line, self.b_line, self.ancilla_line)
-        if len(set(lines)) != 4 or any(i < 0 for i in lines):
-            raise StructuralError(f"adder lines must be distinct: {lines}")
-
-
-@dataclass(frozen=True)
 class AdderLayout:
     """Line assignment of an n-bit ripple-carry adder.
 
     Sum bit 0 lands on the carry-in line and sum bit i lands on block
     i-1's ancilla; the final ancilla carries Cout. That is how the
     cascade keeps every operand line readable while re-using carry lines
-    for the sum.
+    for the sum. A full adder is the one-bit case: Sum on the carry-in
+    line, Cout on its constant-0 ancilla.
     """
 
     n_bits: int
@@ -141,7 +119,7 @@ def ppkn_gates(cin: int, a: int, b: int, anc: int) -> tuple[Gate, ...]:
     )
 
 
-def build_ppkn() -> tuple[Circuit, FullAdderSpec]:
+def build_ppkn() -> tuple[Circuit, AdderLayout]:
     """The 1-Toffoli input-preserving full adder on lines (Cin, A, B, 0)."""
     roles = (
         named("Cin", output="Sum"),
@@ -150,10 +128,10 @@ def build_ppkn() -> tuple[Circuit, FullAdderSpec]:
         ancilla(output="Cout"),
     )
     circuit = new_circuit(4, roles).extend(ppkn_gates(0, 1, 2, 3))
-    return circuit, FullAdderSpec(cin_line=0, a_line=1, b_line=2, ancilla_line=3)
+    return circuit, canonical_layout(1)
 
 
-def build_hng_reference() -> tuple[Circuit, FullAdderSpec]:
+def build_hng_reference() -> tuple[Circuit, AdderLayout]:
     """A standard 2-Toffoli baseline adder on lines (A, B, Cin, 0).
 
     The carry-in line doubles as a carry control and the sum target, so
@@ -174,7 +152,7 @@ def build_hng_reference() -> tuple[Circuit, FullAdderSpec]:
         cnot(0, 1),
     )
     circuit = new_circuit(4, roles).extend(gates)
-    return circuit, FullAdderSpec(cin_line=2, a_line=0, b_line=1, ancilla_line=3)
+    return circuit, AdderLayout(1, cin_line=2, a_lines=(0,), b_lines=(1,), ancilla_lines=(3,))
 
 
 def canonical_layout(n: int) -> AdderLayout:
@@ -238,44 +216,6 @@ class VerificationReport:
     def failing_rows(self) -> set[tuple[int, int, int]]:
         """Distinct (a, b, cin) assignments with at least one mismatch."""
         return {(m.a, m.b, m.cin) for m in self.mismatches}
-
-
-def verify_full_adder(circuit: Circuit, spec: FullAdderSpec) -> VerificationReport:
-    """Check all 8 operand rows (ancilla forced 0) against `oracle_add`.
-
-    Sum must appear on the carry-in line, Cout on the ancilla, and both
-    operand lines must be preserved. The report also carries a full
-    basis-state bijectivity result for the circuit.
-    """
-    lines = (spec.cin_line, spec.a_line, spec.b_line, spec.ancilla_line)
-    if max(lines) >= circuit.width:
-        raise StructuralError(
-            f"adder spec uses line {max(lines)}, circuit width is {circuit.width}"
-        )
-    if not circuit.roles[spec.ancilla_line].is_ancilla:
-        raise StructuralError(
-            f"line {spec.ancilla_line} must be a constant-0 ancilla"
-        )
-    mismatches: list[Mismatch] = []
-    for a, b, c in product((0, 1), repeat=3):
-        state = [0] * circuit.width
-        state[spec.a_line] = a
-        state[spec.b_line] = b
-        state[spec.cin_line] = c
-        out = simulate(circuit, tuple(state))
-        want_sum, want_cout = oracle_add(a, b, c, 1)
-        for quantity, expected, actual in (
-            ("sum", want_sum, out[spec.cin_line]),
-            ("cout", want_cout, out[spec.ancilla_line]),
-            ("a", a, out[spec.a_line]),
-            ("b", b, out[spec.b_line]),
-        ):
-            if actual != expected:
-                mismatches.append(Mismatch(a, b, c, quantity, expected, actual))
-    bijective = None
-    if circuit.width <= EXHAUSTIVE_LINE_LIMIT:
-        bijective = is_bijection(permutation_of(circuit))
-    return VerificationReport(8, tuple(mismatches), bijective)
 
 
 def _set_bit_positions(word: int):
@@ -393,6 +333,30 @@ def verify_rca(
     return _check_lanes(circuit, layout, lanes, cin_word, a_words, b_words)
 
 
+def verify_full_adder(circuit: Circuit, layout: AdderLayout) -> VerificationReport:
+    """Check a one-bit layout on all 8 operand rows, plus bijectivity.
+
+    A full adder is the one-bit cascade, so `verify_rca`'s exhaustive
+    word oracle checks Sum on the carry-in line, Cout on the ancilla and
+    both operand lines preserved; the Cout line must be a constant-0
+    ancilla. Mismatches are listed by (a, b, cin), then sum, cout, a, b.
+    The report also carries a full basis-state bijectivity result.
+    """
+    if layout.n_bits != 1:
+        raise StructuralError(f"a full adder has 1 bit, layout has {layout.n_bits}")
+    report = verify_rca(circuit, layout, "exhaustive")
+    if not circuit.roles[layout.cout_line].is_ancilla:
+        raise StructuralError(f"line {layout.cout_line} must be a constant-0 ancilla")
+    order = ("sum", "cout", "a", "b")
+    mismatches = sorted(
+        report.mismatches, key=lambda m: (m.a, m.b, m.cin, order.index(m.quantity))
+    )
+    bijective = None
+    if circuit.width <= EXHAUSTIVE_LINE_LIMIT:
+        bijective = is_bijection(permutation_of(circuit))
+    return VerificationReport(report.cases, tuple(mismatches), bijective)
+
+
 # ---------------------------------------------------------------- rendering
 
 def render_verification_text(report: VerificationReport, limit: int = 20) -> str:
@@ -412,12 +376,3 @@ def render_verification_text(report: VerificationReport, limit: int = 20) -> str
         state = "bijective" if report.bijective else "NOT bijective"
         lines.append(f"basis-state map: {state}")
     return "\n".join(lines) + "\n"
-
-
-def render_verification_csv(report: VerificationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("a", "b", "cin", "quantity", "expected", "actual"))
-    for m in report.mismatches:
-        writer.writerow((m.a, m.b, m.cin, m.quantity, m.expected, m.actual))
-    return buf.getvalue()

@@ -15,11 +15,10 @@ from .adders import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     EXHAUSTIVE_ADDER_BITS,
-    FullAdderSpec,
+    AdderLayout,
     build_hng_reference,
     build_ppkn,
     build_rca,
-    canonical_layout,
     render_verification_text,
     verify_full_adder,
     verify_rca,
@@ -69,9 +68,9 @@ def build(kind: str, bits, output) -> None:
         if bits is not None:
             raise click.UsageError(f"--bits applies to rca only, not {kind}")
         if kind == "ppkn":
-            circuit, _ = build_ppkn()
-            layout = canonical_layout(1)
+            circuit, layout = build_ppkn()
         else:
+            # the baseline's layout is not the canonical one the format can state
             circuit, _ = build_hng_reference()
             layout = None
     output.write(serialize_netlist(circuit, layout))
@@ -98,7 +97,7 @@ def simulate_cmd(ctx: click.Context, file, bitstring: str) -> None:
             click.echo(f"{role.output} = {out[i]}")
 
 
-def _spec_from_roles(circuit: Circuit) -> FullAdderSpec | None:
+def _layout_from_roles(circuit: Circuit) -> AdderLayout | None:
     """Recognize a 1-bit adder by its role names (Cin/A/B plus one ancilla)."""
     if circuit.width != 4:
         return None
@@ -110,7 +109,7 @@ def _spec_from_roles(circuit: Circuit) -> FullAdderSpec | None:
         elif role.name.lower() in ("cin", "a", "b") and role.name.lower() not in by_name:
             by_name[role.name.lower()] = i
     if len(by_name) == 3 and len(ancillas) == 1:
-        return FullAdderSpec(by_name["cin"], by_name["a"], by_name["b"], ancillas[0])
+        return AdderLayout(1, by_name["cin"], (by_name["a"],), (by_name["b"],), (ancillas[0],))
     return None
 
 
@@ -126,26 +125,22 @@ def _spec_from_roles(circuit: Circuit) -> FullAdderSpec | None:
 def verify(ctx: click.Context, file, mode: str, trials: int, seed: int) -> None:
     """Check a netlist against integer addition; exit 1 on counterexamples."""
     circuit, layout = _read_document(ctx, file)
-    if layout is not None and layout.n_bits == 1:
-        spec = FullAdderSpec(
-            layout.cin_line, layout.a_lines[0], layout.b_lines[0], layout.ancilla_lines[0]
+    if layout is None:
+        layout = _layout_from_roles(circuit)
+    if layout is None:
+        raise click.UsageError(
+            "document has no adder layout and its roles do not describe "
+            "a 1-bit adder (inputs Cin/A/B plus one ancilla)"
         )
-        report = verify_full_adder(circuit, spec)
-    elif layout is not None:
+    if layout.n_bits == 1:
+        report = verify_full_adder(circuit, layout)
+    else:
         if mode == "auto":
             mode = "exhaustive" if layout.n_bits <= EXHAUSTIVE_ADDER_BITS else "random"
         try:
             report = verify_rca(circuit, layout, mode, trials=trials, seed=seed)
         except CapacityError as exc:
             raise click.UsageError(str(exc)) from None
-    else:
-        spec = _spec_from_roles(circuit)
-        if spec is None:
-            raise click.UsageError(
-                "document has no adder layout and its roles do not describe "
-                "a 1-bit adder (inputs Cin/A/B plus one ancilla)"
-            )
-        report = verify_full_adder(circuit, spec)
     click.echo(render_verification_text(report), nl=False)
     if not report.passed:
         ctx.exit(EXIT_VERIFY_FAILED)

@@ -54,11 +54,6 @@ class Schedule:
         return len(self.timesteps)
 
 
-def gates_conflict(a: Gate, b: Gate) -> bool:
-    """Whether two gates must be sequenced: some target touches the other gate."""
-    return a.target in b.support or b.target in a.support
-
-
 def logical_depth(circuit: Circuit) -> tuple[int, Schedule]:
     """ASAP longest-path depth with its witness schedule.
 

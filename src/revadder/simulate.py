@@ -138,9 +138,6 @@ class BatchState:
             raise StructuralError(f"lane {j} out of range for {self.lanes} lanes")
         return tuple((word >> j) & 1 for word in self.words)
 
-    def lane_int(self, j: int) -> int:
-        return bits_to_int(self.lane(j))
-
     def lanes_as_ints(self) -> list[int]:
         return transpose(self.words, self.lanes)
 

@@ -151,8 +151,6 @@ def bitstates_st(width: int):
 
 def assert_schedule_valid(circuit, schedule) -> None:
     """Every gate exactly once; steps conflict-free; program order kept."""
-    from revadder import gates_conflict
-
     seen = [i for step in schedule.timesteps for i in step]
     assert sorted(seen) == list(range(len(circuit.gates)))
     step_of = {}
@@ -163,8 +161,8 @@ def assert_schedule_valid(circuit, schedule) -> None:
         for x in step:
             for y in step:
                 if x < y:
-                    assert not gates_conflict(circuit.gates[x], circuit.gates[y])
+                    assert not gates_conflict_reference(circuit.gates[x], circuit.gates[y])
     for j in range(len(circuit.gates)):
         for i in range(j):
-            if gates_conflict(circuit.gates[i], circuit.gates[j]):
+            if gates_conflict_reference(circuit.gates[i], circuit.gates[j]):
                 assert step_of[i] < step_of[j]

@@ -54,15 +54,15 @@ def announce(capsys, name: str, ok: bool, detail: str = "") -> None:
 
 def test_adder_truth_table(capsys):
     started = time.perf_counter()
-    circuit, spec = build_ppkn()
+    circuit, layout = build_ppkn()
     ok = True
     for a, b, cin in product((0, 1), repeat=3):
         out = simulate(circuit, (cin, a, b, 0))
         want_sum, want_cout = oracle_add(a, b, cin, 1)
-        ok &= out[spec.cin_line] == want_sum
-        ok &= out[spec.ancilla_line] == want_cout
-        ok &= out[spec.a_line] == a and out[spec.b_line] == b
-    report = verify_full_adder(circuit, spec)
+        ok &= out[layout.cin_line] == want_sum
+        ok &= out[layout.cout_line] == want_cout
+        ok &= out[layout.a_lines[0]] == a and out[layout.b_lines[0]] == b
+    report = verify_full_adder(circuit, layout)
     ok &= report.passed and report.cases == 8 and report.bijective is True
     elapsed = time.perf_counter() - started
     ok &= elapsed < 1.0
@@ -95,9 +95,9 @@ def test_adder_metrics(capsys):
 
 
 def test_baseline_adder(capsys):
-    circuit, spec = build_hng_reference()
+    circuit, layout = build_hng_reference()
     report = analyze(circuit)
-    verification = verify_full_adder(circuit, spec)
+    verification = verify_full_adder(circuit, layout)
     table = compare_report([("HNG-reference", report)])
     flagged = [
         d
@@ -330,15 +330,15 @@ def test_property_suites(capsys):
         round_trip &= parse_netlist(serialize_netlist(c)) == (c, None)
 
     # (e) verification pins deleted gates to concrete counterexample rows
-    circuit, spec = build_ppkn()
+    circuit, layout = build_ppkn()
     b_one_rows = {(a, 1, cin) for a in (0, 1) for cin in (0, 1)}
     dropped_carry = verify_full_adder(
         dataclasses.replace(circuit, gates=circuit.gates[:4] + circuit.gates[5:]),
-        spec,
+        layout,
     )
     dropped_restore = verify_full_adder(
         dataclasses.replace(circuit, gates=circuit.gates[:3] + circuit.gates[4:]),
-        spec,
+        layout,
     )
     mutations = (
         not dropped_carry.passed

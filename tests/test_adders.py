@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from revadder import (
     AdderLayout,
     CapacityError,
-    FullAdderSpec,
     GateKind,
     Mismatch,
     StructuralError,
@@ -26,7 +25,6 @@ from revadder import (
     new_circuit,
     oracle_add,
     ppkn_gates,
-    render_verification_csv,
     render_verification_text,
     simulate,
     toffoli,
@@ -59,7 +57,7 @@ def test_oracle_add_rejects_bad_arguments():
 
 
 def test_ppkn_netlist_is_exact():
-    c, spec = build_ppkn()
+    c, layout = build_ppkn()
     assert c.gates == (
         cnot(2, 0),
         cnot(2, 1),
@@ -68,7 +66,7 @@ def test_ppkn_netlist_is_exact():
         cnot(2, 3),
         cnot(1, 0),
     )
-    assert spec == FullAdderSpec(cin_line=0, a_line=1, b_line=2, ancilla_line=3)
+    assert layout == AdderLayout(1, cin_line=0, a_lines=(1,), b_lines=(2,), ancilla_lines=(3,))
     assert c.count(GateKind.TOFFOLI) == 1
     assert c.count(GateKind.NOT) == 0
 
@@ -81,14 +79,14 @@ def test_ppkn_roles_and_outputs():
 
 
 def test_ppkn_truth_table_against_oracle():
-    c, spec = build_ppkn()
+    c, layout = build_ppkn()
     for a, b, cin in product((0, 1), repeat=3):
         out = simulate(c, (cin, a, b, 0))
         want_sum, want_cout = oracle_add(a, b, cin, 1)
-        assert out[spec.cin_line] == want_sum
-        assert out[spec.ancilla_line] == want_cout
-        assert out[spec.a_line] == a
-        assert out[spec.b_line] == b
+        assert out[layout.cin_line] == want_sum
+        assert out[layout.cout_line] == want_cout
+        assert out[layout.a_lines[0]] == a
+        assert out[layout.b_lines[0]] == b
 
 
 def test_verify_full_adder_ppkn():
@@ -101,7 +99,7 @@ def test_verify_full_adder_ppkn():
 
 
 def test_hng_reference_netlist_is_exact():
-    c, spec = build_hng_reference()
+    c, layout = build_hng_reference()
     assert c.gates == (
         toffoli(0, 1, 3),
         cnot(0, 1),
@@ -109,7 +107,7 @@ def test_hng_reference_netlist_is_exact():
         cnot(1, 2),
         cnot(0, 1),
     )
-    assert spec == FullAdderSpec(cin_line=2, a_line=0, b_line=1, ancilla_line=3)
+    assert layout == AdderLayout(1, cin_line=2, a_lines=(0,), b_lines=(1,), ancilla_lines=(3,))
     assert c.count(GateKind.TOFFOLI) == 2
 
 
@@ -127,20 +125,25 @@ def test_hng_reference_single_row():
 
 def test_full_adder_spec_lines_must_be_distinct():
     with pytest.raises(StructuralError):
-        FullAdderSpec(0, 1, 1, 3)
+        AdderLayout(1, 0, (1,), (1,), (3,))
 
 
 def test_verify_full_adder_spec_out_of_range():
     c, _ = build_ppkn()
     with pytest.raises(StructuralError):
-        verify_full_adder(c, FullAdderSpec(0, 1, 2, 4))
+        verify_full_adder(c, AdderLayout(1, 0, (1,), (2,), (4,)))
 
 
 def test_verify_full_adder_requires_ancilla_role():
     c, _ = build_ppkn()
     # Swapping roles so the claimed ancilla is a named input is rejected.
     with pytest.raises(StructuralError):
-        verify_full_adder(c, FullAdderSpec(3, 1, 2, 0))
+        verify_full_adder(c, AdderLayout(1, 3, (1,), (2,), (0,)))
+
+
+def test_verify_full_adder_rejects_wider_layouts():
+    with pytest.raises(StructuralError):
+        verify_full_adder(*build_rca(2))
 
 
 # ---------------------------------------------------------------- cascades
@@ -299,16 +302,16 @@ def test_rca_verify_argument_errors():
 
 
 def _ppkn_without(index: int):
-    c, spec = build_ppkn()
+    c, layout = build_ppkn()
     gates = c.gates[:index] + c.gates[index + 1 :]
-    return dataclasses.replace(c, gates=gates), spec
+    return dataclasses.replace(c, gates=gates), layout
 
 
 def test_dropping_carry_correction_breaks_exactly_b1_rows():
     # Without the CNOT from b onto the ancilla, the carry stays the
     # Toffoli product and is wrong exactly when b = 1.
-    broken, spec = _ppkn_without(4)
-    report = verify_full_adder(broken, spec)
+    broken, layout = _ppkn_without(4)
+    report = verify_full_adder(broken, layout)
     assert not report.passed
     assert report.failing_rows() == {(a, 1, c) for a in (0, 1) for c in (0, 1)}
     assert {m.quantity for m in report.mismatches} == {"cout"}
@@ -318,8 +321,8 @@ def test_dropping_carry_correction_breaks_exactly_b1_rows():
 def test_dropping_operand_restore_breaks_sum_and_a():
     # Without the second CNOT from b onto a, the a line keeps a^b and the
     # final sum CNOT picks up the stale value; both wrong exactly at b = 1.
-    broken, spec = _ppkn_without(3)
-    report = verify_full_adder(broken, spec)
+    broken, layout = _ppkn_without(3)
+    report = verify_full_adder(broken, layout)
     assert not report.passed
     assert report.failing_rows() == {(a, 1, c) for a in (0, 1) for c in (0, 1)}
     assert {m.quantity for m in report.mismatches} == {"sum", "a"}
@@ -327,8 +330,34 @@ def test_dropping_operand_restore_breaks_sum_and_a():
 
 def test_dropping_any_gate_is_detected():
     for index in range(6):
-        broken, spec = _ppkn_without(index)
-        assert not verify_full_adder(broken, spec).passed
+        broken, layout = _ppkn_without(index)
+        assert not verify_full_adder(broken, layout).passed
+
+
+def _embedded_ppkn():
+    """The adder block on lines (5, 1, 3, 6) of an 8-line circuit."""
+    roles = [ancilla() if i == 6 else named(f"q{i}") for i in range(8)]
+    circuit = new_circuit(8, roles).extend(ppkn_gates(5, 1, 3, 6))
+    return circuit, AdderLayout(1, cin_line=5, a_lines=(1,), b_lines=(3,), ancilla_lines=(6,))
+
+
+FULL_ADDERS = {"ppkn": build_ppkn, "hng": build_hng_reference, "embedded": _embedded_ppkn}
+
+
+@pytest.mark.parametrize(
+    "name, index",
+    [(name, i) for name, build in FULL_ADDERS.items() for i in range(len(build()[0].gates))],
+)
+def test_full_adder_mismatches_match_scalar_reference(name, index):
+    c, layout = FULL_ADDERS[name]()
+    broken = dataclasses.replace(c, gates=c.gates[:index] + c.gates[index + 1 :])
+    report = verify_full_adder(broken, layout)
+    rows = list(product((0, 1), repeat=3))
+    assert set(report.mismatches) == set(reference_mismatches(broken, layout, rows))
+    # listed by (a, b, cin), then sum, cout, a, b, each once
+    order = ("sum", "cout", "a", "b")
+    keys = [(m.a, m.b, m.cin, order.index(m.quantity)) for m in report.mismatches]
+    assert keys == sorted(set(keys))
 
 
 def test_miswired_cascade_is_detected():
@@ -479,8 +508,8 @@ def test_render_verification_text_pass():
 
 
 def test_render_verification_text_fail_lists_counterexamples():
-    broken, spec = _ppkn_without(4)
-    text = render_verification_text(verify_full_adder(broken, spec))
+    broken, layout = _ppkn_without(4)
+    text = render_verification_text(verify_full_adder(broken, layout))
     assert text.startswith("FAIL")
     assert "a=0 b=1 cin=0: cout expected 0, got 1" in text
 
@@ -491,11 +520,3 @@ def test_render_verification_text_truncates():
     report = verify_rca(broken, layout)
     text = render_verification_text(report, limit=5)
     assert "... and" in text
-
-
-def test_render_verification_csv():
-    broken, spec = _ppkn_without(4)
-    out = render_verification_csv(verify_full_adder(broken, spec))
-    lines = out.splitlines()
-    assert lines[0] == "a,b,cin,quantity,expected,actual"
-    assert "0,1,0,cout,0,1" in lines

@@ -110,12 +110,31 @@ def test_verify_rca_pipeline_passes():
 
 
 def test_verify_broken_document_exits_1():
-    # Drop the carry-correction CNOT: counterexamples on every b=1 row.
+    # Drop the carry-correction CNOT: counterexamples on every b=1 row,
+    # listed by (a, b, cin).
     broken = PPKN_DOC.replace("cnot 2 3\n", "")
     result = invoke("verify", "-", input=broken)
     assert result.exit_code == 1
-    assert "FAIL: 4 of 8 rows wrong" in result.output
-    assert "a=0 b=1 cin=0: cout expected 0, got 1" in result.output
+    assert result.output == (
+        "FAIL: 4 of 8 rows wrong (4 mismatches)\n"
+        "  a=0 b=1 cin=0: cout expected 0, got 1\n"
+        "  a=0 b=1 cin=1: cout expected 1, got 0\n"
+        "  a=1 b=1 cin=0: cout expected 1, got 0\n"
+        "  a=1 b=1 cin=1: cout expected 1, got 0\n"
+        "basis-state map: bijective\n"
+    )
+
+
+def test_verify_broken_hng_listing_is_pinned():
+    doc = invoke("build", "hng").output.replace("toffoli 0 1 3\n", "", 1)
+    result = invoke("verify", "-", input=doc)
+    assert result.exit_code == 1
+    assert result.output == (
+        "FAIL: 2 of 8 rows wrong (2 mismatches)\n"
+        "  a=1 b=1 cin=0: cout expected 1, got 0\n"
+        "  a=1 b=1 cin=1: cout expected 1, got 0\n"
+        "basis-state map: bijective\n"
+    )
 
 
 def test_verify_hng_by_role_names():

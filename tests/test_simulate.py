@@ -95,15 +95,14 @@ def test_batch_from_ints_round_trip():
     values = [5, 0, 7, 3, 1]
     batch = BatchState.from_ints(values, 3)
     assert batch.lanes_as_ints() == values
-    assert batch.lane_int(2) == 7
+    assert batch.lane(2) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("j", [1, 5, -1])
 def test_batch_lane_rejects_missing_lane(j):
     batch = BatchState((1, 0), 1)
-    for read in (batch.lane, batch.lane_int):
-        with pytest.raises(StructuralError, match=rf"lane {j} .*1 lanes"):
-            read(j)
+    with pytest.raises(StructuralError, match=rf"lane {j} .*1 lanes"):
+        batch.lane(j)
 
 
 @st.composite
