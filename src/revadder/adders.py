@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 from .core import (
     CapacityError,
@@ -183,8 +183,11 @@ def build_rca(n: int) -> tuple[Circuit, AdderLayout]:
     return new_circuit(layout.width, roles).extend(gates), layout
 
 
-@dataclass(frozen=True)
-class Mismatch:
+#: a report's mismatch quantities, in the order it lists them for one row
+_QUANTITIES = ("a", "b", "cout", "sum")
+
+
+class Mismatch(NamedTuple):
     """One failing test vector: which figure was wrong, and how."""
 
     a: int
@@ -249,9 +252,10 @@ def _check_lanes(
 ) -> VerificationReport:
     """Run the operand words through the circuit and compare with the ripple oracle.
 
-    A pass compares words only. A failure unpacks the operand words and
-    the differing output lines once each, and lists each distinct
-    counterexample once.
+    A pass compares words only. A failure reads only its bad lanes, in
+    one transpose of a stack of words: for each quantity that differs a
+    bad-lane flag and the quantity's output lines, then the operands.
+    Each distinct counterexample is listed once.
     """
     n = layout.n_bits
     operand_words = [cin_word, *a_words, *b_words]
@@ -260,31 +264,43 @@ def _check_lanes(
         in_words[line] = word
     out = simulate_batch(circuit, BatchState(tuple(in_words), lanes))
     sum_words, cout_word = _ripple_words(a_words, b_words, cin_word)
-    checks = (
-        ("sum", layout.sum_lines, sum_words),
-        ("cout", (layout.cout_line,), [cout_word]),
-        ("a", layout.a_lines, a_words),
-        ("b", layout.b_lines, b_words),
+    checks = (  # in _QUANTITIES order
+        (layout.a_lines, a_words),
+        (layout.b_lines, b_words),
+        ((layout.cout_line,), [cout_word]),
+        (layout.sum_lines, sum_words),
     )
-    rows, found, m = None, set(), (1 << n) - 1
-    for pick, (quantity, lines, expected_words) in enumerate(checks):
+    # per differing quantity a bad-lane flag and its output lines, then the
+    # operands b, a, cin on top: a stacked lane value sorts by (cin, a, b),
+    # and a row drawn twice gives the same value twice
+    stack, fields, bad_lanes = [], [], 0
+    for rank, (lines, expected_words) in enumerate(checks):
         got = [out.words[line] for line in lines]
         bad = 0
         for expected_word, word in zip(expected_words, got):
             bad |= expected_word ^ word
-        if not bad:
-            continue
-        if rows is None:
-            # lane j's row: bit 0 is cin, bits 1..n are a, bits n+1..2n are b
-            rows = transpose(operand_words, lanes)
-        actual = transpose(got, lanes)
-        for j in _set_bit_positions(bad):
-            row = rows[j]
-            found.add((row & 1, (row >> 1) & m, row >> (n + 1), quantity, pick, actual[j]))
+        if bad:
+            fields.append((rank, len(stack), (1 << len(lines)) - 1))
+            stack += [bad, *got]
+            bad_lanes |= bad
+    if not bad_lanes:
+        return VerificationReport(lanes, ())
+    key_shift = len(stack)
+    stack += [*b_words, *a_words, cin_word]
+    m = (1 << n) - 1
     mismatches = []
-    for cin, a, b, quantity, pick, actual in sorted(found):
-        expected = (*oracle_add(a, b, cin, n), a, b)[pick]
-        mismatches.append(Mismatch(a, b, cin, quantity, expected, actual))
+    bad_values = transpose(stack, lanes, list(_set_bit_positions(bad_lanes)))
+    for value in sorted(set(bad_values)):
+        key = value >> key_shift
+        a, b, cin = (key >> n) & m, key & m, key >> (2 * n)
+        total = a + b + cin
+        expected = (a, b, total >> n, total & m)
+        for rank, shift, mask in fields:
+            if (value >> shift) & 1:
+                actual = (value >> (shift + 1)) & mask
+                mismatches.append(
+                    Mismatch(a, b, cin, _QUANTITIES[rank], expected[rank], actual)
+                )
     return VerificationReport(lanes, tuple(mismatches))
 
 

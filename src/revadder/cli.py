@@ -10,6 +10,7 @@ arguments accept `-` for standard input/output, so commands compose:
 from __future__ import annotations
 
 import click
+from click.core import ParameterSource
 
 from .adders import (
     DEFAULT_SEED,
@@ -37,6 +38,7 @@ from .qasm import export_qasm
 from .simulate import simulate
 
 EXIT_VERIFY_FAILED = 1
+EXIT_USAGE = 2
 EXIT_PARSE_ERROR = 3
 
 
@@ -133,6 +135,17 @@ def verify(ctx: click.Context, file, mode: str, trials: int, seed: int) -> None:
             "a 1-bit adder (inputs Cin/A/B plus one ancilla)"
         )
     if layout.n_bits == 1:
+        sampling = ["--mode random"] if mode == "random" else []
+        sampling += [
+            f"--{name}" for name in ("trials", "seed")
+            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE
+        ]
+        if sampling:
+            click.echo(
+                f"Error: {', '.join(sampling)} not allowed: a 1-bit adder is "
+                "always checked on all 8 rows", err=True,
+            )
+            ctx.exit(EXIT_USAGE)
         report = verify_full_adder(circuit, layout)
     else:
         if mode == "auto":

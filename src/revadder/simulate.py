@@ -67,7 +67,9 @@ def simulate(circuit: Circuit, state: Sequence[int]) -> BitState:
     return state
 
 
-def transpose(rows: Sequence[int], width: int) -> list[int]:
+def transpose(
+    rows: Sequence[int], width: int, columns: Sequence[int] | None = None
+) -> list[int]:
     """Bit-matrix transpose: bit j of `result[i]` is bit i of `rows[j]`.
 
     This is the one conversion between per-lane integers and the
@@ -75,14 +77,20 @@ def transpose(rows: Sequence[int], width: int) -> list[int]:
     with `width` = line count, unpacking passes the words with `width` =
     lane count. Precondition: every row is non-negative and fits in
     `width` bits. Binary text keeps the cost linear in the matrix size.
+
+    With `columns`, only those entries are built, in that order:
+    `result[k]` is the full result's entry `columns[k]`, each in
+    range(width), at the cost of one stride slice each.
     """
+    if columns is None:
+        columns = range(width)
     if not rows or not width:
-        return [0] * width
+        return [0] * len(columns)
     # last row first, each most significant bit first: the stride slice
     # for bit i then reads that bit of every row, last row first
     spec = f"0{width}b"
     text = "".join([format(row, spec) for row in reversed(rows)])
-    return [int(text[width - 1 - i :: width], 2) for i in range(width)]
+    return [int(text[width - 1 - i :: width], 2) for i in columns]
 
 
 @dataclass(frozen=True)

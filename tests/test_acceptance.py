@@ -259,6 +259,26 @@ def test_random_verify_at_1024_bits(capsys):
     )
 
 
+def test_failing_random_verify_at_32_bits(capsys):
+    circuit, layout = build_rca(32)
+    first = 6 * 16  # six gates per block
+    mutants = [
+        dataclasses.replace(circuit, gates=circuit.gates[:i] + circuit.gates[i + 1 :])
+        for i in range(first, first + 6)
+    ]
+    started = time.perf_counter()
+    reports = [verify_rca(m, layout, mode="random", trials=10000) for m in mutants]
+    elapsed = time.perf_counter() - started
+    ok = all(not r.passed and r.cases == 10000 for r in reports) and elapsed < 0.3
+    announce(
+        capsys,
+        "32-bit cascade: each one-gate deletion of block 16 fails 10k random "
+        "vectors, all six in under 0.3 s",
+        ok,
+        f"{elapsed * 1000:.0f} ms",
+    )
+
+
 def test_exhaustive_verify_at_8_bits(capsys):
     circuit, layout = build_rca(8)
     started = time.perf_counter()

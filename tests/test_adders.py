@@ -431,6 +431,22 @@ def test_random_mode_lists_each_mismatch_once():
     assert report.mismatches == reference_mismatches(broken, layout, rows)
 
 
+@pytest.mark.parametrize(
+    "index, quantities",
+    [(97, {"a", "sum"}), (187, {"a", "cout", "sum"}), (190, {"cout"})],
+)
+def test_random_mismatches_match_scalar_reference_at_32_bits(index, quantities):
+    # at n=32 a failing lane's stacked value spans 100+ bits, where a field
+    # read at the wrong offset cannot hide as it can at n <= 5
+    n, trials = 32, 1000
+    broken, layout = _rca_without(n, index)
+    report = verify_rca(broken, layout, "random", trials=trials, seed=index)
+    assert {m.quantity for m in report.mismatches} == quantities
+    assert report.mismatches == reference_mismatches(
+        broken, layout, _drawn_rows(n, trials, index)
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 300), st.data())
 def test_ripple_words_match_oracle_add_lane_by_lane(n, lanes, data):
@@ -499,6 +515,18 @@ def test_report_passed_and_rows():
     assert not report.passed
     assert report.failing_rows() == {(1, 0, 0), (0, 1, 1)}
     assert VerificationReport(8, ()).passed
+
+
+def test_mismatch_repr_describe_equality_and_hash():
+    m = Mismatch(1, 0, 0, "sum", 1, 0)
+    assert repr(m) == "Mismatch(a=1, b=0, cin=0, quantity='sum', expected=1, actual=0)"
+    assert m.describe() == "a=1 b=0 cin=0: sum expected 1, got 0"
+    assert (m.a, m.b, m.cin, m.quantity, m.expected, m.actual) == (1, 0, 0, "sum", 1, 0)
+    same = Mismatch(a=1, b=0, cin=0, quantity="sum", expected=1, actual=0)
+    assert m == same and hash(m) == hash(same)
+    assert m != Mismatch(1, 0, 0, "sum", 1, 1)
+    assert m != Mismatch(1, 0, 0, "cout", 1, 0)
+    assert len({m, same, Mismatch(0, 1, 1, "sum", 0, 1)}) == 2
 
 
 def test_render_verification_text_pass():

@@ -173,6 +173,30 @@ def test_verify_rejects_non_positive_trials(trials):
     assert "--trials" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "flags", [["--mode", "random"], ["--trials", "5"], ["--seed", "3"]]
+)
+def test_verify_one_bit_document_rejects_sampling_flags(flags):
+    # a 1-bit adder is always checked on all 8 rows, so a sampling flag
+    # would otherwise be ignored while the report reads "PASS: 8 cases"
+    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "revadder", "verify", "-", *flags],
+        input=PPKN_DOC, capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert flags[0] in result.stderr and "all 8 rows" in result.stderr
+
+
+def test_verify_one_bit_document_in_exhaustive_mode_passes():
+    result = invoke("verify", "-", "--mode", "exhaustive", input=PPKN_DOC)
+    assert result.exit_code == 0
+    assert result.output == "PASS: 8 cases, 0 mismatches\nbasis-state map: bijective\n"
+
+
 @pytest.mark.parametrize("command", ["metrics", "verify", "export"])
 def test_non_utf8_input_is_a_parse_error(command):
     # UTF-8 mode pins the text encoding whatever the locale

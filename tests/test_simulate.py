@@ -124,8 +124,18 @@ def test_transpose_is_its_own_inverse(matrix):
     assert transpose(transpose(rows, width), len(rows)) == rows
 
 
+@given(bit_matrices_st(), st.data())
+def test_transpose_selected_columns_match_reference(matrix, data):
+    rows, width = matrix
+    # any order, repeats allowed, possibly empty
+    columns = data.draw(st.lists(st.integers(0, width - 1), max_size=2 * width))
+    full = transpose_reference(rows, width)
+    assert transpose(rows, width, columns) == [full[i] for i in columns]
+
+
 def test_transpose_of_no_rows_is_all_zero():
     assert transpose([], 3) == [0, 0, 0]
+    assert transpose([], 3, [2, 0]) == [0, 0]
 
 
 def test_transpose_width_one():
