@@ -259,6 +259,101 @@ def test_compare_csv():
     assert "TSG,literature,6,2,,,14,6" in lines
 
 
+METRICS_GOLDEN = {
+    ("ppkn",): (
+        "gates         6\n"
+        "  toffoli     1\n"
+        "  cnot        5\n"
+        "  not         0\n"
+        "quantum cost  10\n"
+        "logical depth 4\n"
+        "schedule:\n"
+        "  step 1: g0 cnot 2 0 | g1 cnot 2 1\n"
+        "  step 2: g2 toffoli 0 1 3\n"
+        "  step 3: g3 cnot 2 1 | g4 cnot 2 3\n"
+        "  step 4: g5 cnot 1 0\n",
+        "gates,toffoli,cnot,not,qc,depth,schedule\n"
+        "6,1,5,0,10,4,0 1|2|3 4|5\n",
+    ),
+    ("hng",): (
+        "gates         5\n"
+        "  toffoli     2\n"
+        "  cnot        3\n"
+        "  not         0\n"
+        "quantum cost  13\n"
+        "logical depth 5\n"
+        "schedule:\n"
+        "  step 1: g0 toffoli 0 1 3\n"
+        "  step 2: g1 cnot 0 1\n"
+        "  step 3: g2 toffoli 1 2 3\n"
+        "  step 4: g3 cnot 1 2\n"
+        "  step 5: g4 cnot 0 1\n",
+        "gates,toffoli,cnot,not,qc,depth,schedule\n"
+        "5,2,3,0,13,5,0|1|2|3|4\n",
+    ),
+    ("rca", "--bits", "3"): (
+        "gates         18\n"
+        "  toffoli     3\n"
+        "  cnot        15\n"
+        "  not         0\n"
+        "quantum cost  30\n"
+        "logical depth 10\n"
+        "schedule:\n"
+        "  step 1: g0 cnot 2 0 | g1 cnot 2 1 | g7 cnot 5 4 | g13 cnot 8 7\n"
+        "  step 2: g2 toffoli 0 1 3\n"
+        "  step 3: g3 cnot 2 1 | g4 cnot 2 3\n"
+        "  step 4: g5 cnot 1 0 | g6 cnot 5 3\n"
+        "  step 5: g8 toffoli 3 4 6\n"
+        "  step 6: g9 cnot 5 4 | g10 cnot 5 6\n"
+        "  step 7: g11 cnot 4 3 | g12 cnot 8 6\n"
+        "  step 8: g14 toffoli 6 7 9\n"
+        "  step 9: g15 cnot 8 7 | g16 cnot 8 9\n"
+        "  step 10: g17 cnot 7 6\n",
+        "gates,toffoli,cnot,not,qc,depth,schedule\n"
+        "18,3,15,0,30,10,0 1 7 13|2|3 4|5 6|8|9 10|11 12|14|15 16|17\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("as_csv", [False, True], ids=["text", "csv"])
+@pytest.mark.parametrize("build_args", list(METRICS_GOLDEN), ids=" ".join)
+def test_metrics_output_is_pinned(build_args, as_csv):
+    doc = invoke("build", *build_args).output
+    result = invoke("metrics", *(["--csv"] if as_csv else []), "-", input=doc)
+    assert result.exit_code == 0
+    assert result.stdout == METRICS_GOLDEN[build_args][as_csv]
+
+
+def test_compare_output_is_pinned():
+    result = invoke("compare")
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "name           provenance  gates  toffoli  cnot  not  qc  depth\n"
+        "PPKN           computed    6      1        5     0    10  4\n"
+        "HNG-reference  computed    5      2        3     0    13  5\n"
+        "HNG            literature  5      2        -     -    12  5\n"
+        "TSG            literature  6      2        -     -    14  6\n"
+        "\n"
+        "discrepancy: HNG-reference: computed quantum cost 13 differs from "
+        "published HNG value 12\n"
+        "\n"
+        "quantum-cost reduction, PPKN 10 vs published HNG 12: "
+        "(12 - 10) / 12 = 16.7% (rounds to 17%)\n"
+    )
+
+
+def test_compare_csv_output_is_pinned():
+    result = invoke("compare", "--csv")
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "name,provenance,gates,toffoli,cnot,not,qc,depth\n"
+        "PPKN,computed,6,1,5,0,10,4\n"
+        "HNG-reference,computed,5,2,3,0,13,5\n"
+        "HNG,literature,5,2,,,12,5\n"
+        "TSG,literature,6,2,,,14,6\n"
+    )
+
+
 def test_export_qasm():
     result = invoke("export", "-", input=PPKN_DOC)
     assert result.exit_code == 0
