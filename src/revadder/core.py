@@ -91,6 +91,12 @@ def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return Gate(GateKind.TOFFOLI, (control_a, control_b), target)
 
 
+def describe_gate(gate: Gate) -> str:
+    """Netlist statement of a gate: kind then lines, controls before target."""
+    lines = " ".join(str(i) for i in gate.controls + (gate.target,))
+    return f"{gate.kind.value} {lines}"
+
+
 @dataclass(frozen=True)
 class LineRole:
     """Role of one circuit line.

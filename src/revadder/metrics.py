@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Circuit, Gate, GateKind
+from .core import Circuit, GateKind, describe_gate
 
 
 @dataclass(frozen=True)
@@ -113,37 +113,35 @@ def analyze(circuit: Circuit, model: CostModel = DEFAULT_COST_MODEL) -> MetricsR
     )
 
 
+#: A report's figures, in the column order of every rendering.
+_FIGURES = (
+    "gate_count", "toffoli_count", "cnot_count",
+    "not_count", "quantum_cost", "logical_depth",
+)
+
+
 @dataclass(frozen=True)
-class LiteratureRow:
-    """A gate's published figures. Fields the source does not give stay None."""
+class ComparisonRow:
+    """One gate's figures. Figures the source does not give stay None."""
 
     name: str
+    provenance: str  # "computed" | "literature"
     gate_count: Optional[int] = None
     toffoli_count: Optional[int] = None
+    cnot_count: Optional[int] = None
+    not_count: Optional[int] = None
     quantum_cost: Optional[int] = None
     logical_depth: Optional[int] = None
 
 
 #: Published figures for the standard input-preserving full adders.
-HNG_PUBLISHED = LiteratureRow(
-    "HNG", gate_count=5, toffoli_count=2, quantum_cost=12, logical_depth=5
+HNG_PUBLISHED = ComparisonRow(
+    "HNG", "literature", gate_count=5, toffoli_count=2, quantum_cost=12, logical_depth=5
 )
-TSG_PUBLISHED = LiteratureRow(
-    "TSG", gate_count=6, toffoli_count=2, quantum_cost=14, logical_depth=6
+TSG_PUBLISHED = ComparisonRow(
+    "TSG", "literature", gate_count=6, toffoli_count=2, quantum_cost=14, logical_depth=6
 )
 DEFAULT_LITERATURE = (HNG_PUBLISHED, TSG_PUBLISHED)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    provenance: str  # "computed" | "literature"
-    gate_count: Optional[int]
-    toffoli_count: Optional[int]
-    cnot_count: Optional[int]
-    not_count: Optional[int]
-    quantum_cost: Optional[int]
-    logical_depth: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -193,11 +191,6 @@ class ComparisonTable:
     qc_reduction: Optional[QcReduction]
 
 
-def _baseline_key(name: str) -> str:
-    # "HNG-reference" pairs with the published "HNG" row
-    return name.split("-", 1)[0]
-
-
 _CHECKED_METRICS = (
     ("gate count", "gate_count"),
     ("toffoli count", "toffoli_count"),
@@ -208,66 +201,43 @@ _CHECKED_METRICS = (
 
 def compare_report(
     computed: Sequence[tuple[str, MetricsReport]],
-    literature: Sequence[LiteratureRow] = DEFAULT_LITERATURE,
+    literature: Sequence[ComparisonRow] = DEFAULT_LITERATURE,
 ) -> ComparisonTable:
-    """One table mixing computed and published rows, mismatches flagged.
+    """One table: the computed rows, then the published rows as given.
 
     A computed row named like "X" or "X-anything" is checked against the
     published row "X" wherever both carry a figure; disagreements are
-    recorded, never reconciled. When a computed "PPKN" row and a
-    published "HNG" row are both present, the table also carries the
-    quantum-cost reduction ratio between them.
+    recorded, never reconciled. The table also carries the quantum-cost
+    reduction of the first computed row that has no published
+    counterpart, measured against the first published row. It is None
+    when there is no such computed row, no published row, or the first
+    published row gives no quantum cost.
     """
     if not computed:
         raise ValueError("compare_report needs at least one computed report")
-    rows: list[ComparisonRow] = []
+    rows = [
+        ComparisonRow(name, "computed", *(getattr(report, f) for f in _FIGURES))
+        for name, report in computed
+    ]
     discrepancies: list[Discrepancy] = []
+    unpublished: list[ComparisonRow] = []
     published_by_name = {row.name: row for row in literature}
-    for name, report in computed:
-        rows.append(
-            ComparisonRow(
-                name=name,
-                provenance="computed",
-                gate_count=report.gate_count,
-                toffoli_count=report.toffoli_count,
-                cnot_count=report.cnot_count,
-                not_count=report.not_count,
-                quantum_cost=report.quantum_cost,
-                logical_depth=report.logical_depth,
-            )
-        )
-        baseline = published_by_name.get(_baseline_key(name))
+    for row in rows:
+        baseline = published_by_name.get(row.name.split("-", 1)[0])
         if baseline is None:
+            unpublished.append(row)
             continue
         for label, attr in _CHECKED_METRICS:
-            have = getattr(report, attr)
+            have = getattr(row, attr)
             want = getattr(baseline, attr)
             if want is not None and have != want:
-                discrepancies.append(
-                    Discrepancy(name, baseline.name, label, have, want)
-                )
-    for row in literature:
-        rows.append(
-            ComparisonRow(
-                name=row.name,
-                provenance="literature",
-                gate_count=row.gate_count,
-                toffoli_count=row.toffoli_count,
-                cnot_count=None,
-                not_count=None,
-                quantum_cost=row.quantum_cost,
-                logical_depth=row.logical_depth,
-            )
-        )
+                discrepancies.append(Discrepancy(row.name, baseline.name, label, have, want))
 
     reduction = None
-    ppkn = next((r for n, r in computed if _baseline_key(n) == "PPKN"), None)
-    hng = published_by_name.get("HNG")
-    if ppkn is not None and hng is not None and hng.quantum_cost:
-        reduction = QcReduction(
-            "PPKN", "HNG", ppkn.quantum_cost, hng.quantum_cost
-        )
-    return ComparisonTable(tuple(rows), tuple(discrepancies), reduction)
+    if unpublished and literature and literature[0].quantum_cost:
+        row, baseline = unpublished[0], literature[0]
+        reduction = QcReduction(row.name, baseline.name, row.quantum_cost, baseline.quantum_cost)
+    return ComparisonTable((*rows, *literature), tuple(discrepancies), reduction)
 
 
 # ---------------------------------------------------------------- rendering
@@ -277,18 +247,22 @@ COMPARISON_COLUMNS = (
 )
 
 
-def _cells(row: ComparisonRow) -> list[str]:
-    values = (
-        row.gate_count, row.toffoli_count, row.cnot_count,
-        row.not_count, row.quantum_cost, row.logical_depth,
-    )
-    return [row.name, row.provenance] + [
-        "-" if v is None else str(v) for v in values
-    ]
+def _cells(row: ComparisonRow) -> list[object]:
+    """A row in column order; a figure the source does not give is None."""
+    return [row.name, row.provenance] + [getattr(row, f) for f in _FIGURES]
+
+
+def _csv(rows: Sequence[Sequence[object]]) -> str:
+    """CSV text, one record per line; None is an empty cell."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def render_comparison_text(table: ComparisonTable) -> str:
-    grid = [list(COMPARISON_COLUMNS)] + [_cells(row) for row in table.rows]
+    grid = [list(COMPARISON_COLUMNS)] + [
+        ["-" if v is None else str(v) for v in _cells(row)] for row in table.rows
+    ]
     widths = [max(len(line[i]) for line in grid) for i in range(len(grid[0]))]
     lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
@@ -305,22 +279,10 @@ def render_comparison_text(table: ComparisonTable) -> str:
 
 
 def render_comparison_csv(table: ComparisonTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COMPARISON_COLUMNS)
-    for row in table.rows:
-        cells = _cells(row)
-        writer.writerow([c if c != "-" else "" for c in cells])
-    return buf.getvalue()
+    return _csv([COMPARISON_COLUMNS] + [_cells(row) for row in table.rows])
 
 
-def describe_gate(gate: Gate) -> str:
-    """Netlist-style one-liner: kind then lines, controls before target."""
-    lines = " ".join(str(i) for i in gate.controls + (gate.target,))
-    return f"{gate.kind.value} {lines}"
-
-
-def render_metrics_text(report: MetricsReport, circuit: Optional[Circuit] = None) -> str:
+def render_metrics_text(report: MetricsReport, circuit: Circuit) -> str:
     lines = [
         f"gates         {report.gate_count}",
         f"  toffoli     {report.toffoli_count}",
@@ -331,25 +293,16 @@ def render_metrics_text(report: MetricsReport, circuit: Optional[Circuit] = None
         "schedule:",
     ]
     for t, step in enumerate(report.schedule.timesteps, start=1):
-        if circuit is not None:
-            body = " | ".join(
-                f"g{i} {describe_gate(circuit.gates[i])}" for i in step
-            )
-        else:
-            body = " ".join(f"g{i}" for i in step)
+        body = " | ".join(f"g{i} {describe_gate(circuit.gates[i])}" for i in step)
         lines.append(f"  step {t}: {body}")
     return "\n".join(lines) + "\n"
 
 
 def render_metrics_csv(report: MetricsReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("gates", "toffoli", "cnot", "not", "qc", "depth", "schedule"))
     schedule = "|".join(
         " ".join(str(i) for i in step) for step in report.schedule.timesteps
     )
-    writer.writerow((
-        report.gate_count, report.toffoli_count, report.cnot_count,
-        report.not_count, report.quantum_cost, report.logical_depth, schedule,
-    ))
-    return buf.getvalue()
+    return _csv([
+        COMPARISON_COLUMNS[2:] + ("schedule",),
+        [getattr(report, f) for f in _FIGURES] + [schedule],
+    ])

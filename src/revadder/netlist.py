@@ -25,6 +25,7 @@ from .core import (
     LineRole,
     StructuralError,
     ancilla,
+    describe_gate,
     named,
     new_circuit,
 )
@@ -167,10 +168,12 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
                 layout_line,
             )
         layout = canonical_layout(layout_bits)
-        for line in layout.ancilla_lines:
-            if not full_roles[line].is_ancilla:
+        ancillas = set(layout.ancilla_lines)
+        for line, role in enumerate(full_roles):
+            if role.is_ancilla != (line in ancillas):
+                expected = "an ancilla" if line in ancillas else "an input"
                 raise ParseError(
-                    f"layout adder {layout_bits} expects line {line} to be an ancilla",
+                    f"layout adder {layout_bits} expects line {line} to be {expected}",
                     layout_line,
                 )
 
@@ -193,9 +196,7 @@ def serialize_netlist(circuit: Circuit, layout: Optional[AdderLayout] = None) ->
         if layout != canonical_layout(layout.n_bits):
             raise StructuralError("only the canonical adder layout is serializable")
         lines.append(f"layout adder {layout.n_bits}")
-    for gate in circuit.gates:
-        indices = " ".join(str(i) for i in gate.controls + (gate.target,))
-        lines.append(f"{gate.kind.value} {indices}")
+    lines.extend(map(describe_gate, circuit.gates))
     for i, role in enumerate(circuit.roles):
         if role.output is not None:
             lines.append(f"output {i} {role.output}")

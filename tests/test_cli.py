@@ -232,6 +232,22 @@ def test_parse_error_exits_3():
     assert "duplicate line" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "build_args, statement",
+    [(["ppkn"], "input 1 A"), (["rca", "--bits", "2"], "input 4 A1")],
+    ids=["ppkn", "rca2"],
+)
+def test_verify_rejects_operand_line_declared_as_ancilla(build_args, statement):
+    line = statement.split()[1]
+    doc = invoke("build", *build_args).output.replace(
+        f"{statement}\n", f"ancilla {line}\n"
+    )
+    result = invoke("verify", "-", input=doc)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert f"expects line {line} to be an input" in result.stderr
+
+
 def test_parse_error_names_the_file(tmp_path: Path):
     bad = tmp_path / "bad.net"
     bad.write_text("lines 4\nfrobnicate 1\n")
@@ -316,7 +332,7 @@ METRICS_GOLDEN = {
 
 
 @pytest.mark.parametrize("as_csv", [False, True], ids=["text", "csv"])
-@pytest.mark.parametrize("build_args", list(METRICS_GOLDEN), ids=" ".join)
+@pytest.mark.parametrize("build_args", list(METRICS_GOLDEN), ids=["ppkn", "hng", "rca3"])
 def test_metrics_output_is_pinned(build_args, as_csv):
     doc = invoke("build", *build_args).output
     result = invoke("metrics", *(["--csv"] if as_csv else []), "-", input=doc)

@@ -283,6 +283,38 @@ def test_compare_custom_literature_can_agree():
     assert table.qc_reduction is None
 
 
+def test_compare_reduction_ignores_computed_row_order():
+    ppkn_first, hng_first = _computed_pair()
+    table = compare_report((hng_first, ppkn_first))
+    reduction = table.qc_reduction
+    assert (reduction.name, reduction.qc) == ("PPKN", 10)
+    assert (reduction.baseline, reduction.baseline_qc) == ("HNG", 12)
+
+
+def test_compare_reduction_of_an_unpublished_row_under_any_name():
+    # the first computed row without a published counterpart is measured
+    # against the first published row, whatever either is called
+    rca, _ = build_rca(1)
+    hng, _ = build_hng_reference()
+    table = compare_report(
+        (("HNG-reference", analyze(hng)), ("RCA1", analyze(rca)), ("Other", analyze(hng))),
+        literature=(TSG_PUBLISHED, HNG_PUBLISHED),
+    )
+    reduction = table.qc_reduction
+    assert (reduction.name, reduction.qc) == ("RCA1", 10)
+    assert (reduction.baseline, reduction.baseline_qc) == ("TSG", 14)
+    assert [d.name for d in table.discrepancies] == ["HNG-reference"]
+
+
+def test_compare_reduction_needs_a_published_quantum_cost():
+    first = dataclasses.replace(HNG_PUBLISHED, quantum_cost=None)
+    table = compare_report(_computed_pair(), literature=(first, TSG_PUBLISHED))
+    assert table.qc_reduction is None
+    # the unpublished figure is not checked either
+    assert table.discrepancies == ()
+    assert compare_report(_computed_pair(), literature=()).qc_reduction is None
+
+
 def test_published_rows_frozen_values():
     assert (HNG_PUBLISHED.gate_count, HNG_PUBLISHED.toffoli_count) == (5, 2)
     assert (HNG_PUBLISHED.quantum_cost, HNG_PUBLISHED.logical_depth) == (12, 5)

@@ -150,6 +150,27 @@ def test_layout_requires_canonical_ancilla_positions():
     assert "line 3" in exc.value.message
 
 
+@pytest.mark.parametrize(
+    "doc, statement, layout_line",
+    [
+        (PPKN_DOC, "input 1 A", 6),
+        (serialize_netlist(*build_rca(2)), "input 4 A1", 9),
+        (serialize_netlist(*build_rca(2)), "input 0 Cin", 9),
+        (serialize_netlist(*build_rca(2)), "input 5 B1", 9),
+    ],
+    ids=["ppkn-A", "rca2-A1", "rca2-Cin", "rca2-B1"],
+)
+def test_layout_requires_operand_lines_to_be_inputs(doc, statement, layout_line):
+    # an operand line declared constant-0 would be driven with 1s by verify
+    line = statement.split()[1]
+    doc = doc.replace(f"{statement}\n", f"ancilla {line}\n")
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(doc)
+    assert exc.value.line == layout_line
+    assert doc.splitlines()[layout_line - 1].startswith("layout adder")
+    assert f"expects line {line} to be an input" in exc.value.message
+
+
 def test_round_trip_builtin_circuits():
     ppkn, _ = build_ppkn()
     hng, _ = build_hng_reference()
