@@ -150,13 +150,16 @@ def test_layout_requires_canonical_ancilla_positions():
     assert "line 3" in exc.value.message
 
 
+RCA2_DOC = serialize_netlist(*build_rca(2))
+
+
 @pytest.mark.parametrize(
     "doc, statement, layout_line",
     [
         (PPKN_DOC, "input 1 A", 6),
-        (serialize_netlist(*build_rca(2)), "input 4 A1", 9),
-        (serialize_netlist(*build_rca(2)), "input 0 Cin", 9),
-        (serialize_netlist(*build_rca(2)), "input 5 B1", 9),
+        (RCA2_DOC, "input 4 A1", 9),
+        (RCA2_DOC, "input 0 Cin", 9),
+        (RCA2_DOC, "input 5 B1", 9),
     ],
     ids=["ppkn-A", "rca2-A1", "rca2-Cin", "rca2-B1"],
 )
