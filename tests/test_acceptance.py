@@ -233,12 +233,12 @@ def test_gate_list_path_at_1024_bits(capsys):
         and len(circuit.gates) == 6 * 1024
         and depth == 3 * 1024 + 1
         and schedule.depth == depth
-        and elapsed < 1.0
+        and elapsed < 0.5
     )
     announce(
         capsys,
         "1024-bit cascade: build, serialize, parse and depth 3073 in under "
-        "1 s, round trip equal",
+        "0.5 s, round trip equal",
         ok,
         f"{elapsed * 1000:.0f} ms",
     )

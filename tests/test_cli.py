@@ -381,6 +381,38 @@ def test_export_qasm():
     assert lines[-1] == "cx q[1], q[0];"
 
 
+RCA3_QASM = """\
+OPENQASM 3.0;
+include "stdgates.inc";
+qubit[10] q;
+cx q[2], q[0];
+cx q[2], q[1];
+ccx q[0], q[1], q[3];
+cx q[2], q[1];
+cx q[2], q[3];
+cx q[1], q[0];
+cx q[5], q[3];
+cx q[5], q[4];
+ccx q[3], q[4], q[6];
+cx q[5], q[4];
+cx q[5], q[6];
+cx q[4], q[3];
+cx q[8], q[6];
+cx q[8], q[7];
+ccx q[6], q[7], q[9];
+cx q[8], q[7];
+cx q[8], q[9];
+cx q[7], q[6];
+"""
+
+
+def test_export_output_is_pinned():
+    doc = invoke("build", "rca", "--bits", "3").output
+    result = invoke("export", "-", input=doc)
+    assert result.exit_code == 0
+    assert result.stdout == RCA3_QASM
+
+
 def test_export_unknown_format_rejected():
     result = invoke("export", "-", "--format", "svg", input=PPKN_DOC)
     assert result.exit_code == 2

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import time
 
 import pytest
@@ -120,6 +122,28 @@ def test_toffoli_control_order_normalized():
     assert toffoli(1, 0, 3) == toffoli(0, 1, 3)
     assert hash(toffoli(1, 0, 3)) == hash(toffoli(0, 1, 3))
     assert toffoli(1, 0, 3).controls == (0, 1)
+
+
+def test_gate_normalizes_controls_from_any_sequence():
+    unsorted = Gate(GateKind.TOFFOLI, (3, 1), 0)
+    listed = Gate(GateKind.TOFFOLI, [1, 3], 0)
+    expected = (
+        "Gate(kind=<GateKind.TOFFOLI: 'toffoli'>, controls=(1, 3), target=0)"
+    )
+    assert repr(unsorted) == repr(listed) == expected
+    assert unsorted == listed
+    assert hash(unsorted) == hash(listed)
+    assert type(listed.controls) is tuple
+
+
+def test_gate_kind_control_counts_survive_copies():
+    assert GateKind("cnot").n_controls == 1
+    expected = {GateKind.NOT: 0, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}
+    for kind, n in expected.items():
+        assert kind.n_controls == n
+        for again in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind)):
+            assert again is kind
+            assert again.n_controls == n
 
 
 def test_gate_support():

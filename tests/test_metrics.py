@@ -217,6 +217,24 @@ def test_report_counts_are_consistent(c):
     assert report.logical_depth == report.schedule.depth
 
 
+@given(
+    circuits_st(max_width=6, max_gates=30),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.integers(0, 9),
+)
+def test_report_counts_and_cost_agree_with_per_gate_sums(c, not_w, cnot_w, toffoli_w):
+    report = analyze(c)
+    assert report.not_count == c.count(GateKind.NOT)
+    assert report.cnot_count == c.count(GateKind.CNOT)
+    assert report.toffoli_count == c.count(GateKind.TOFFOLI)
+    model = CostModel(not_cost=not_w, cnot_cost=cnot_w, toffoli_cost=toffoli_w)
+    weight = {"not": not_w, "cnot": cnot_w, "toffoli": toffoli_w}
+    expected = sum(weight[g.kind.value] for g in c.gates)
+    assert quantum_cost(c, model) == expected
+    assert analyze(c, model).quantum_cost == expected
+
+
 # ---------------------------------------------------------------- comparison
 
 

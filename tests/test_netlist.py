@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from revadder import (
     AdderLayout,
@@ -15,7 +15,7 @@ from revadder import (
     toffoli,
 )
 
-from helpers import circuits_st
+from helpers import circuits_st, identifiers
 
 PPKN_DOC = """\
 lines 4
@@ -116,6 +116,11 @@ def test_serialize_rejects_noncanonical_layout():
         ("lines 2\ninput 5 a\n", 2, "out of range"),
         ("lines 2\ncnot 0 2\n", 2, "out of range"),
         ("lines 2\ncnot 0 0\n", 2, "duplicate line"),
+        # The first bad token of a gate statement decides its error.
+        ("lines 2\ncnot 5 x\n", 2, "out of range"),
+        ("lines 2\ncnot x 5\n", 2, "expected a line index"),
+        ("lines 3\ntoffoli 0 0 9\n", 2, "out of range"),
+        ("lines 2\nnot -1\n", 2, "out of range"),
         ("lines 3\ntoffoli 0 1\n", 2, "usage: toffoli"),
         ("lines 2\nnot 0 1\n", 2, "usage: not"),
         ("lines 2\nhadamard 0\n", 2, "unknown keyword"),
@@ -217,3 +222,67 @@ def test_parse_error_is_circuit_error():
 
     with pytest.raises(CircuitError):
         parse_netlist("lines 2\ncnot 0 0\n")
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_KEYWORDS = ("lines", "input", "ancilla", "output", "layout", "not", "cnot", "toffoli")
+_GATE_LINES = {"not": 1, "cnot": 2, "toffoli": 3}
+#: gates weigh three times as much as declarations
+_STATEMENT_KEYWORDS = _KEYWORDS[1:5] + tuple(_GATE_LINES) * 3
+_JUNK = ("adder", "x", "#", "-", "-0", "+1", "0x3", "1.5", "07", "9bad", "\u0663", "")
+_junk_tokens_st = st.one_of(
+    st.integers(-1, 64).map(str), identifiers, st.sampled_from(_JUNK)
+)
+
+
+@st.composite
+def _statements_st(draw, width: int):
+    """One statement of the grammar, its line indices within the width."""
+    index = st.integers(0, width - 1).map(str)
+    keyword = draw(st.sampled_from(_STATEMENT_KEYWORDS))
+    if keyword in ("input", "output"):
+        args = [draw(index), draw(identifiers)]
+    elif keyword == "ancilla":
+        args = [draw(index)] + draw(st.sampled_from(([], ["0"])))
+    elif keyword == "layout":
+        args = ["adder", draw(st.integers(0, 21).map(str))]
+    else:
+        n = _GATE_LINES[keyword]
+        args = draw(st.lists(index, min_size=n, max_size=n))
+    sep = draw(st.sampled_from((" ", "  ", "\t")))
+    comment = draw(st.one_of(st.just(""), st.text(max_size=8).map(lambda t: " #" + t)))
+    return sep.join([keyword, *args]) + comment
+
+
+#: at most one line of noise per document, so that most parse some way in
+_noise_st = st.one_of(
+    st.builds(
+        lambda keyword, args: " ".join([keyword, *args]),
+        st.one_of(st.sampled_from(_KEYWORDS), _junk_tokens_st),
+        st.lists(_junk_tokens_st, max_size=4),
+    ),
+    # widths stay at most 64: an unbounded `lines` would allocate without limit
+    st.text(max_size=12).filter(lambda t: "lines" not in t),
+)
+
+
+@st.composite
+def _documents_st(draw):
+    width = draw(st.integers(1, 64))
+    lines = [f"lines {width}"] + draw(st.lists(_statements_st(width), max_size=10))
+    noise = draw(st.one_of(st.none(), _noise_st))
+    if noise is not None:
+        lines.insert(draw(st.integers(0, len(lines))), noise)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300)
+@given(_documents_st())
+def test_parse_fuzz_raises_only_parse_errors_and_round_trips(text):
+    try:
+        circuit, layout = parse_netlist(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        return
+    assert parse_netlist(serialize_netlist(circuit, layout)) == (circuit, layout)
