@@ -30,16 +30,24 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class GateKind(Enum):
-    NOT = "not"
-    CNOT = "cnot"
-    TOFFOLI = "toffoli"
+    """An NCT gate kind; its value is the netlist keyword.
 
-    @property
-    def n_controls(self) -> int:
-        return _N_CONTROLS[self]
+    `n_controls` is a plain member attribute, so reading it costs no
+    lookup keyed by the member.
+    """
 
+    n_controls: int
 
-_N_CONTROLS = {GateKind.NOT: 0, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}
+    NOT = "not", 0
+    CNOT = "cnot", 1
+    TOFFOLI = "toffoli", 2
+
+    # The value stays the keyword alone, which only __new__ can arrange.
+    def __new__(cls, value: str, n_controls: int) -> GateKind:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.n_controls = n_controls
+        return member
 
 
 @dataclass(frozen=True)
@@ -56,18 +64,24 @@ class Gate:
     target: int
 
     def __post_init__(self) -> None:
-        controls = tuple(sorted(self.controls))
-        object.__setattr__(self, "controls", controls)
-        if len(controls) != self.kind.n_controls:
+        controls = self.controls
+        # Only a pair can be out of order: other lengths are sorted or
+        # rejected below.
+        if type(controls) is not tuple or len(controls) > 1 and controls[0] > controls[1]:
+            controls = tuple(sorted(controls))
+            object.__setattr__(self, "controls", controls)
+        n = len(controls)
+        if n != self.kind.n_controls:
             raise StructuralError(
                 f"{self.kind.value} takes {self.kind.n_controls} controls, "
-                f"got {len(controls)}"
+                f"got {n}"
             )
-        lines = controls + (self.target,)
-        if any(i < 0 for i in lines):
-            raise StructuralError(f"negative line index in {lines}")
-        if len(set(lines)) != len(lines):
-            raise StructuralError(f"duplicate line index in {lines}")
+        target = self.target
+        # sorted controls: the first is the least, equal ones are neighbours
+        if target < 0 or n and controls[0] < 0:
+            raise StructuralError(f"negative line index in {controls + (target,)}")
+        if target in controls or n == 2 and controls[0] == controls[1]:
+            raise StructuralError(f"duplicate line index in {controls + (target,)}")
 
     @property
     def support(self) -> frozenset[int]:
@@ -76,7 +90,9 @@ class Gate:
 
     @property
     def max_line(self) -> int:
-        return max(self.support)
+        """The largest line the gate touches: its target or its last control."""
+        controls = self.controls
+        return max(controls[-1], self.target) if controls else self.target
 
 
 def not_gate(target: int) -> Gate:
@@ -91,10 +107,15 @@ def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return Gate(GateKind.TOFFOLI, (control_a, control_b), target)
 
 
+#: netlist keywords, indexed by control count
+_KEYWORDS = tuple(kind.value for kind in sorted(GateKind, key=lambda k: k.n_controls))
+
+
 def describe_gate(gate: Gate) -> str:
     """Netlist statement of a gate: kind then lines, controls before target."""
-    lines = " ".join(str(i) for i in gate.controls + (gate.target,))
-    return f"{gate.kind.value} {lines}"
+    controls = gate.controls
+    lines = " ".join(map(str, controls + (gate.target,)))
+    return f"{_KEYWORDS[len(controls)]} {lines}"
 
 
 @dataclass(frozen=True)
@@ -120,7 +141,7 @@ class LineRole:
         return self.name is None
 
     def with_output(self, label: Optional[str]) -> LineRole:
-        return replace(self, output=label)
+        return LineRole(self.name, label)
 
 
 def named(name: str, output: Optional[str] = None) -> LineRole:
@@ -156,11 +177,13 @@ class Circuit:
         self._check_gates(self.gates)
 
     def _check_gates(self, gates: tuple[Gate, ...]) -> None:
+        width = self.width
         for gate in gates:
-            if gate.max_line >= self.width:
+            controls = gate.controls
+            if gate.target >= width or controls and controls[-1] >= width:
                 raise StructuralError(
                     f"gate {gate.kind.value} uses line {gate.max_line}, "
-                    f"width is {self.width}"
+                    f"width is {width}"
                 )
 
     def __len__(self) -> int:

@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Circuit, GateKind, describe_gate
+from .core import Circuit, describe_gate
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,6 @@ class CostModel:
     not_cost: int = 1
     cnot_cost: int = 1
     toffoli_cost: int = 5
-
-    def cost(self, kind: GateKind) -> int:
-        return {
-            GateKind.NOT: self.not_cost,
-            GateKind.CNOT: self.cnot_cost,
-            GateKind.TOFFOLI: self.toffoli_cost,
-        }[kind]
 
 
 DEFAULT_COST_MODEL = CostModel()
@@ -70,12 +63,17 @@ def logical_depth(circuit: Circuit) -> tuple[int, Schedule]:
     touched = [0] * circuit.width
     steps: list[list[int]] = []
     for i, gate in enumerate(circuit.gates):
-        target = gate.target
+        target, controls = gate.target, gate.controls
         # targeted[target] <= touched[target], so the controls suffice
-        level = 1 + max([touched[target]] + [targeted[c] for c in gate.controls])
+        level = touched[target]
+        for c in controls:
+            if targeted[c] > level:
+                level = targeted[c]
+        level += 1
         targeted[target] = touched[target] = level
-        for c in gate.controls:
-            touched[c] = max(touched[c], level)
+        for c in controls:
+            if touched[c] < level:
+                touched[c] = level
         if level > len(steps):
             steps.append([])
         steps[level - 1].append(i)
@@ -95,19 +93,34 @@ class MetricsReport:
     schedule: Schedule
 
 
+def _kind_counts(circuit: Circuit) -> list[int]:
+    """NOT, CNOT and Toffoli counts, in one pass: indexed by control count."""
+    counts = [0, 0, 0]
+    for g in circuit.gates:
+        counts[len(g.controls)] += 1
+    return counts
+
+
+def _cost(counts: list[int], model: CostModel) -> int:
+    nots, cnots, toffolis = counts
+    return nots * model.not_cost + cnots * model.cnot_cost + toffolis * model.toffoli_cost
+
+
 def quantum_cost(circuit: Circuit, model: CostModel = DEFAULT_COST_MODEL) -> int:
     """Sum of per-gate costs under the model."""
-    return sum(model.cost(g.kind) for g in circuit.gates)
+    return _cost(_kind_counts(circuit), model)
 
 
 def analyze(circuit: Circuit, model: CostModel = DEFAULT_COST_MODEL) -> MetricsReport:
     depth, schedule = logical_depth(circuit)
+    counts = _kind_counts(circuit)
+    nots, cnots, toffolis = counts
     return MetricsReport(
         gate_count=len(circuit.gates),
-        not_count=circuit.count(GateKind.NOT),
-        cnot_count=circuit.count(GateKind.CNOT),
-        toffoli_count=circuit.count(GateKind.TOFFOLI),
-        quantum_cost=quantum_cost(circuit, model),
+        not_count=nots,
+        cnot_count=cnots,
+        toffoli_count=toffolis,
+        quantum_cost=_cost(counts, model),
         logical_depth=depth,
         schedule=schedule,
     )

@@ -67,16 +67,35 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     layout_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        statement = raw.split("#", 1)[0].strip()
-        if not statement:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = statement.split()
         keyword, args = tokens[0], tokens[1:]
 
         if width is None and keyword != "lines":
             raise ParseError("the lines declaration must come first", line_no)
 
-        if keyword == "lines":
+        kind = _GATE_KEYWORDS.get(keyword)
+        if kind is not None:
+            if len(args) != kind.n_controls + 1:
+                raise ParseError(
+                    f"usage: {keyword} {'<c> ' * kind.n_controls}<t>".replace("  ", " "),
+                    line_no,
+                )
+            try:
+                indices = [int(t, 10) for t in args]
+            except ValueError:
+                indices = None
+            if indices is None or min(indices) < 0 or max(indices) >= width:
+                # Token by token, the first bad one names the error.
+                for t in args:
+                    _check_index(_int_token(t, line_no, "a line index"), width, line_no)
+            try:
+                gates.append(Gate(kind, tuple(indices[:-1]), indices[-1]))
+            except StructuralError as exc:
+                raise ParseError(str(exc), line_no) from None
+
+        elif keyword == "lines":
             if width is not None:
                 raise ParseError("duplicate lines declaration", line_no)
             if len(args) != 1:
@@ -108,22 +127,6 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
                 )
             roles[idx] = ancilla()
 
-        elif keyword in _GATE_KEYWORDS:
-            kind = _GATE_KEYWORDS[keyword]
-            if len(args) != kind.n_controls + 1:
-                raise ParseError(
-                    f"usage: {keyword} {'<c> ' * kind.n_controls}<t>".replace("  ", " "),
-                    line_no,
-                )
-            indices = [
-                _check_index(_int_token(t, line_no, "a line index"), width, line_no)
-                for t in args
-            ]
-            try:
-                gates.append(Gate(kind, tuple(indices[:-1]), indices[-1]))
-            except StructuralError as exc:
-                raise ParseError(str(exc), line_no) from None
-
         elif keyword == "output":
             if len(args) != 2:
                 raise ParseError("usage: output <line> <label>", line_no)
@@ -150,7 +153,9 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
 
     full_roles = []
     for i in range(width):
-        role = roles.get(i, named(f"q{i}"))
+        role = roles.get(i)
+        if role is None:
+            role = named(f"q{i}")
         if i in outputs:
             label, label_line = outputs[i]
             try:

@@ -1,9 +1,10 @@
 """Export to OPENQASM 3 style text. One register, x/cx/ccx gates only."""
 from __future__ import annotations
 
-from .core import Circuit, GateKind
+from .core import Circuit
 
-_QASM_NAMES = {GateKind.NOT: "x", GateKind.CNOT: "cx", GateKind.TOFFOLI: "ccx"}
+#: gate names, indexed by control count
+_QASM_NAMES = ("x", "cx", "ccx")
 
 
 def export_qasm(circuit: Circuit) -> str:
@@ -14,6 +15,7 @@ def export_qasm(circuit: Circuit) -> str:
         f"qubit[{circuit.width}] q;",
     ]
     for gate in circuit.gates:
-        args = ", ".join(f"q[{i}]" for i in gate.controls + (gate.target,))
-        lines.append(f"{_QASM_NAMES[gate.kind]} {args};")
+        controls = gate.controls
+        args = "], q[".join(map(str, controls + (gate.target,)))
+        lines.append(f"{_QASM_NAMES[len(controls)]} q[{args}];")
     return "\n".join(lines) + "\n"
