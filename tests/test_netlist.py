@@ -226,10 +226,11 @@ def test_parse_error_is_circuit_error():
 
 # ---------------------------------------------------------------- fuzzing
 
-_KEYWORDS = ("lines", "input", "ancilla", "output", "layout", "not", "cnot", "toffoli")
+_DECLARATIONS = ("input", "ancilla", "output", "layout")
 _GATE_LINES = {"not": 1, "cnot": 2, "toffoli": 3}
+_KEYWORDS = ("lines", *_DECLARATIONS, *_GATE_LINES)
 #: gates weigh three times as much as declarations
-_STATEMENT_KEYWORDS = _KEYWORDS[1:5] + tuple(_GATE_LINES) * 3
+_STATEMENT_KEYWORDS = _DECLARATIONS + tuple(_GATE_LINES) * 3
 _JUNK = ("adder", "x", "#", "-", "-0", "+1", "0x3", "1.5", "07", "9bad", "\u0663", "")
 _junk_tokens_st = st.one_of(
     st.integers(-1, 64).map(str), identifiers, st.sampled_from(_JUNK)
