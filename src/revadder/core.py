@@ -8,9 +8,9 @@ are immutable: builders return new values, so they are safe to share.
 from __future__ import annotations
 
 import copy
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional
 
 
@@ -24,9 +24,6 @@ class StructuralError(CircuitError):
 
 class CapacityError(CircuitError):
     """An exhaustive operation was requested beyond its configured limit."""
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class GateKind(Enum):
@@ -50,8 +47,37 @@ class GateKind(Enum):
         return member
 
 
-@dataclass(frozen=True)
-class Gate:
+class _Frozen:
+    """A `__slots__` value that compares, hashes and prints like a frozen
+    dataclass; pickle and copy rebuild it through its validating constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = attrgetter(*cls.__slots__)  # two or more fields: a tuple
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._fields(self) == self._fields(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields(self)
+
+
+class Gate(_Frozen):
     """One NCT primitive: flip `target` iff every control line is 1.
 
     Controls are stored sorted, so gates that differ only in control order
@@ -59,29 +85,29 @@ class Gate:
     pairwise distinct.
     """
 
+    __slots__ = ("kind", "controls", "target")
     kind: GateKind
     controls: tuple[int, ...]
     target: int
 
-    def __post_init__(self) -> None:
-        controls = self.controls
+    def __init__(self, kind: GateKind, controls: tuple[int, ...], target: int) -> None:
         # Only a pair can be out of order: other lengths are sorted or
         # rejected below.
         if type(controls) is not tuple or len(controls) > 1 and controls[0] > controls[1]:
             controls = tuple(sorted(controls))
-            object.__setattr__(self, "controls", controls)
         n = len(controls)
-        if n != self.kind.n_controls:
+        if n != kind.n_controls:
             raise StructuralError(
-                f"{self.kind.value} takes {self.kind.n_controls} controls, "
-                f"got {n}"
+                f"{kind.value} takes {kind.n_controls} controls, got {n}"
             )
-        target = self.target
         # sorted controls: the first is the least, equal ones are neighbours
         if target < 0 or n and controls[0] < 0:
             raise StructuralError(f"negative line index in {controls + (target,)}")
         if target in controls or n == 2 and controls[0] == controls[1]:
             raise StructuralError(f"duplicate line index in {controls + (target,)}")
+        _set_kind(self, kind)
+        _set_controls(self, controls)
+        _set_target(self, target)
 
     @property
     def support(self) -> frozenset[int]:
@@ -93,6 +119,9 @@ class Gate:
         """The largest line the gate touches: its target or its last control."""
         controls = self.controls
         return max(controls[-1], self.target) if controls else self.target
+
+
+_set_kind, _set_controls, _set_target = (getattr(Gate, f).__set__ for f in Gate.__slots__)
 
 
 def not_gate(target: int) -> Gate:
@@ -118,30 +147,36 @@ def describe_gate(gate: Gate) -> str:
     return f"{_KEYWORDS[len(controls)]} {lines}"
 
 
-@dataclass(frozen=True)
-class LineRole:
+def check_label(label: Optional[str]) -> Optional[str]:
+    """`label` itself if it is None or a bare ASCII identifier; else raise."""
+    if label is not None and not (label.isascii() and label.isidentifier()):
+        raise StructuralError(f"not a valid line label: {label!r}")
+    return label
+
+
+class LineRole(_Frozen):
     """Role of one circuit line.
 
     `name is None` marks a constant-0 ancilla; otherwise the line is a
     named primary input. `output` is an optional label for the value the
-    line carries at the end of the circuit. Names must be bare identifiers
-    so the netlist text format can tokenize them.
+    line carries at the end of the circuit. Names must be bare ASCII
+    identifiers so the netlist text format can tokenize them.
     """
 
+    __slots__ = ("name", "output")
     name: Optional[str]
-    output: Optional[str] = None
+    output: Optional[str]
 
-    def __post_init__(self) -> None:
-        for label in (self.name, self.output):
-            if label is not None and not _NAME_RE.match(label):
-                raise StructuralError(f"not a valid line label: {label!r}")
+    def __init__(self, name: Optional[str], output: Optional[str] = None) -> None:
+        _set_name(self, check_label(name))
+        _set_output(self, check_label(output))
 
     @property
     def is_ancilla(self) -> bool:
         return self.name is None
 
-    def with_output(self, label: Optional[str]) -> LineRole:
-        return LineRole(self.name, label)
+
+_set_name, _set_output = (getattr(LineRole, f).__set__ for f in LineRole.__slots__)
 
 
 def named(name: str, output: Optional[str] = None) -> LineRole:

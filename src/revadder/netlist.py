@@ -24,9 +24,8 @@ from .core import (
     GateKind,
     LineRole,
     StructuralError,
-    ancilla,
+    check_label,
     describe_gate,
-    named,
     new_circuit,
 )
 from .adders import AdderLayout, canonical_layout
@@ -60,7 +59,7 @@ def _check_index(idx: int, width: int, line_no: int) -> int:
 def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     """Parse a document into a circuit and its optional adder layout."""
     width: Optional[int] = None
-    roles: dict[int, LineRole] = {}
+    names: dict[int, Optional[str]] = {}  # declared lines; None for an ancilla
     outputs: dict[int, tuple[str, int]] = {}
     gates: list[Gate] = []
     layout_bits: Optional[int] = None
@@ -108,10 +107,10 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
             if len(args) != 2:
                 raise ParseError("usage: input <line> <name>", line_no)
             idx = _check_index(_int_token(args[0], line_no, "a line index"), width, line_no)
-            if idx in roles:
+            if idx in names:
                 raise ParseError(f"line {idx} role already declared", line_no)
             try:
-                roles[idx] = named(args[1])
+                names[idx] = check_label(args[1])
             except StructuralError as exc:
                 raise ParseError(str(exc), line_no) from None
 
@@ -119,13 +118,13 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
             if len(args) not in (1, 2):
                 raise ParseError("usage: ancilla <line> [0]", line_no)
             idx = _check_index(_int_token(args[0], line_no, "a line index"), width, line_no)
-            if idx in roles:
+            if idx in names:
                 raise ParseError(f"line {idx} role already declared", line_no)
             if len(args) == 2 and args[1] != "0":
                 raise ParseError(
                     f"ancilla lines are constant 0, got initial {args[1]!r}", line_no
                 )
-            roles[idx] = ancilla()
+            names[idx] = None
 
         elif keyword == "output":
             if len(args) != 2:
@@ -151,18 +150,14 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     if width is None:
         raise ParseError("missing lines declaration", 1)
 
+    # Names were checked where declared, so a bad label here is an output's.
     full_roles = []
     for i in range(width):
-        role = roles.get(i)
-        if role is None:
-            role = named(f"q{i}")
-        if i in outputs:
-            label, label_line = outputs[i]
-            try:
-                role = role.with_output(label)
-            except StructuralError as exc:
-                raise ParseError(str(exc), label_line) from None
-        full_roles.append(role)
+        label, label_line = outputs.get(i, (None, 0))
+        try:
+            full_roles.append(LineRole(names[i] if i in names else f"q{i}", label))
+        except StructuralError as exc:
+            raise ParseError(str(exc), label_line) from None
 
     layout = None
     if layout_bits is not None:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 from hypothesis import strategies as st
 
@@ -40,6 +41,10 @@ def random_circuit(rng: random.Random, width: int, n_gates: int):
     gates = [random_gate(rng, width) for _ in range(n_gates)]
     return new_circuit(width, roles).extend(gates)
 
+
+#: the line-label rule as the regular expression the library once used,
+#: kept as the reference for `revadder.core.check_label`
+LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
 

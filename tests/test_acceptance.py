@@ -244,6 +244,22 @@ def test_gate_list_path_at_1024_bits(capsys):
     )
 
 
+def test_parse_at_1024_bits(capsys):
+    circuit, layout = build_rca(1024)
+    document = serialize_netlist(circuit, layout)
+    started = time.perf_counter()
+    parsed = parse_netlist(document)
+    elapsed = time.perf_counter() - started
+    ok = parsed == (circuit, layout) and elapsed < 0.15
+    announce(
+        capsys,
+        "1024-bit cascade: its document (3073 circuit lines, 6144 gates) "
+        "parsed in under 0.15 s, equal to the built circuit",
+        ok,
+        f"{elapsed * 1000:.0f} ms",
+    )
+
+
 def test_random_verify_at_1024_bits(capsys):
     circuit, layout = build_rca(1024)
     started = time.perf_counter()

@@ -4,7 +4,7 @@ import pickle
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from revadder import (
     Gate,
@@ -21,7 +21,7 @@ from revadder import (
     toffoli,
 )
 
-from helpers import bitstates_st, circuits_st, gates_st
+from helpers import LABEL_RE, bitstates_st, circuits_st, gates_st, identifiers
 
 FOUR_ROLES = (named("Cin"), named("A"), named("B"), ancilla())
 
@@ -162,10 +162,85 @@ def test_role_labels_validated():
     named("_ok2")
 
 
+@given(st.one_of(st.text(), identifiers))
+@example("")
+@example("\u00e9")
+@example("\u0663")
+@example("A\n")
+@example("if")
+def test_label_check_matches_reference_regex(label):
+    if LABEL_RE.match(label):
+        assert named(label).name == label
+    else:
+        with pytest.raises(StructuralError):
+            named(label)
+
+
+def test_label_check_matches_reference_regex_on_short_ascii():
+    short = [chr(a) for a in range(128)]
+    short += [x + y for x in short for y in short]
+    rejected = []
+    for label in short:
+        try:
+            named(label)
+        except StructuralError:
+            rejected.append(label)
+    assert rejected == [label for label in short if not LABEL_RE.match(label)]
+
+
 def test_with_output():
-    role = named("A").with_output("Sum")
+    role = named("A", "Sum")
     assert role.output == "Sum"
     assert role.name == "A"
+
+
+def test_role_repr():
+    assert repr(named("A", "Sum")) == "LineRole(name='A', output='Sum')"
+    assert repr(ancilla()) == "LineRole(name=None, output=None)"
+
+
+#: one value of each slot-based class, with its fields in declaration order
+VALUES = [
+    (toffoli(3, 1, 0), (GateKind.TOFFOLI, (1, 3), 0)),
+    (not_gate(2), (GateKind.NOT, (), 2)),
+    (named("A", "Sum"), ("A", "Sum")),
+    (ancilla(), (None, None)),
+]
+VALUE_IDS = ["toffoli", "not", "named", "ancilla"]
+
+
+@pytest.mark.parametrize("value, fields", VALUES, ids=VALUE_IDS)
+def test_values_are_frozen(value, fields):
+    for name in type(value).__slots__:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = 1
+    assert tuple(getattr(value, name) for name in type(value).__slots__) == fields
+
+
+@pytest.mark.parametrize("value, fields", VALUES, ids=VALUE_IDS)
+def test_values_copy_and_pickle_through_the_constructor(value, fields):
+    assert value.__reduce__() == (type(value), fields)
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for again in copies:
+        assert type(again) is type(value)
+        assert again == value and hash(again) == hash(value)
+
+
+@pytest.mark.parametrize("value, fields", VALUES, ids=VALUE_IDS)
+def test_values_hash_and_compare_by_fields_and_class(value, fields):
+    assert hash(value) == hash(fields)
+    assert value != fields and fields != value
+    assert value != object()
+    assert value == type(value)(*fields)
+    assert value == type(value)(**dict(zip(type(value).__slots__, fields)))
 
 
 def test_count_by_kind():

@@ -127,6 +127,10 @@ def test_serialize_rejects_noncanonical_layout():
         ("lines 2\nancilla 1 1\n", 2, "constant 0"),
         ("lines 2\noutput 0 S\noutput 0 T\n", 3, "already labeled"),
         ("lines 2\noutput 0 bad-label\n", 2, "label"),
+        # A bad output label is reported once the whole document is read, a
+        # bad input name at its own line.
+        ("lines 2\noutput 0 bad-label\nhadamard 0\n", 3, "unknown keyword"),
+        ("lines 2\ninput 0 9bad\ninput 0 a\n", 2, "label"),
         ("lines 4\nlayout adder 1\nlayout adder 1\n", 3, "duplicate layout"),
         ("lines 4\nlayout foo 1\n", 2, "usage: layout"),
         ("lines 4\nlayout adder 0\n", 2, ">= 1 bits"),
