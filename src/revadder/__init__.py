@@ -27,20 +27,6 @@ from .simulate import (
     simulate,
     simulate_batch,
 )
-from .metrics import (
-    DEFAULT_LITERATURE,
-    HNG_PUBLISHED,
-    TSG_PUBLISHED,
-    CostModel,
-    analyze,
-    compare_report,
-    logical_depth,
-    quantum_cost,
-    render_comparison_csv,
-    render_comparison_text,
-    render_metrics_csv,
-    render_metrics_text,
-)
 from .adders import (
     AdderLayout,
     Mismatch,
@@ -56,7 +42,40 @@ from .adders import (
     verify_rca,
 )
 from .netlist import ParseError, parse_netlist, serialize_netlist
-from .qasm import export_qasm
+
+#: names loaded from their module on first use, so that a command that
+#: needs neither module does not import them
+_LAZY = {
+    "DEFAULT_LITERATURE": "metrics",
+    "HNG_PUBLISHED": "metrics",
+    "TSG_PUBLISHED": "metrics",
+    "CostModel": "metrics",
+    "analyze": "metrics",
+    "compare_report": "metrics",
+    "logical_depth": "metrics",
+    "quantum_cost": "metrics",
+    "render_comparison_csv": "metrics",
+    "render_comparison_text": "metrics",
+    "render_metrics_csv": "metrics",
+    "render_metrics_text": "metrics",
+    "export_qasm": "qasm",
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"
 

@@ -10,7 +10,6 @@ addition (`oracle_add` and its word-wide form), never against a circuit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Literal, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     Circuit,
     Gate,
     StructuralError,
+    _Frozen,
     ancilla,
     cnot,
     named,
@@ -53,8 +53,7 @@ def oracle_add(a: int, b: int, cin: int, n: int) -> tuple[int, int]:
     return total & ((1 << n) - 1), total >> n
 
 
-@dataclass(frozen=True)
-class AdderLayout:
+class AdderLayout(_Frozen):
     """Line assignment of an n-bit ripple-carry adder.
 
     Sum bit 0 lands on the carry-in line and sum bit i lands on block
@@ -64,21 +63,30 @@ class AdderLayout:
     line, Cout on its constant-0 ancilla.
     """
 
+    __slots__ = ("n_bits", "cin_line", "a_lines", "b_lines", "ancilla_lines")
     n_bits: int
     cin_line: int
     a_lines: tuple[int, ...]
     b_lines: tuple[int, ...]
     ancilla_lines: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.n_bits
-        if n < 1:
-            raise StructuralError(f"adder needs >= 1 bits, got {n}")
-        if not (len(self.a_lines) == len(self.b_lines) == len(self.ancilla_lines) == n):
+    def __init__(
+        self,
+        n_bits: int,
+        cin_line: int,
+        a_lines: tuple[int, ...],
+        b_lines: tuple[int, ...],
+        ancilla_lines: tuple[int, ...],
+    ) -> None:
+        if n_bits < 1:
+            raise StructuralError(f"adder needs >= 1 bits, got {n_bits}")
+        if not (len(a_lines) == len(b_lines) == len(ancilla_lines) == n_bits):
             raise StructuralError("line lists must all have n_bits entries")
-        lines = (self.cin_line,) + self.a_lines + self.b_lines + self.ancilla_lines
-        if any(i < 0 for i in lines) or len(set(lines)) != 3 * n + 1:
+        lines = (cin_line,) + a_lines + b_lines + ancilla_lines
+        if any(i < 0 for i in lines) or len(set(lines)) != 3 * n_bits + 1:
             raise StructuralError(f"adder lines must be distinct: {lines}")
+        for setter, value in zip(_SETTERS, (n_bits, cin_line, a_lines, b_lines, ancilla_lines)):
+            setter(self, value)
 
     @property
     def sum_lines(self) -> tuple[int, ...]:
@@ -99,6 +107,9 @@ class AdderLayout:
             value |= ((a >> i) & 1) << self.a_lines[i]
             value |= ((b >> i) & 1) << self.b_lines[i]
         return value
+
+
+_SETTERS = tuple(getattr(AdderLayout, f).__set__ for f in AdderLayout.__slots__)
 
 
 def ppkn_gates(cin: int, a: int, b: int, anc: int) -> tuple[Gate, ...]:
@@ -204,8 +215,7 @@ class Mismatch(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking a circuit against integer addition."""
 
     cases: int

@@ -6,6 +6,10 @@ arguments accept `-` for standard input/output, so commands compose:
 
     revadder build ppkn | revadder metrics -
     revadder build rca --bits 3 | revadder verify -
+
+Every command runs in its own process, so the metrics and QASM modules
+are imported inside the commands that use them: `build` and `verify`
+never load them.
 """
 from __future__ import annotations
 
@@ -24,22 +28,16 @@ from .adders import (
     verify_full_adder,
     verify_rca,
 )
-from .core import CapacityError, Circuit
-from .metrics import (
-    analyze,
-    compare_report,
-    render_comparison_csv,
-    render_comparison_text,
-    render_metrics_csv,
-    render_metrics_text,
-)
+from .core import MAX_LINES, CapacityError, Circuit
 from .netlist import ParseError, parse_netlist, serialize_netlist
-from .qasm import export_qasm
 from .simulate import simulate
 
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE_ERROR = 3
+
+#: the widest cascade whose 3n + 1 lines fit in MAX_LINES
+MAX_RCA_BITS = (MAX_LINES - 1) // 3
 
 
 @click.group()
@@ -60,11 +58,18 @@ def _read_document(ctx: click.Context, fh) -> tuple:
 @click.argument("kind", type=click.Choice(["ppkn", "hng", "rca"]))
 @click.option("--bits", type=int, default=None, help="Operand width (rca only).")
 @click.option("-o", "--output", type=click.File("w"), default="-", help="Destination file.")
-def build(kind: str, bits, output) -> None:
+@click.pass_context
+def build(ctx: click.Context, kind: str, bits, output) -> None:
     """Emit a built-in circuit as a netlist document."""
     if kind == "rca":
         if bits is None or bits < 1:
             raise click.UsageError("rca needs --bits N with N >= 1")
+        if bits > MAX_RCA_BITS:
+            click.echo(
+                f"Error: rca --bits is capped at {MAX_RCA_BITS} "
+                f"({MAX_LINES} lines), got {bits}", err=True,
+            )
+            ctx.exit(EXIT_USAGE)
         circuit, layout = build_rca(bits)
     else:
         if bits is not None:
@@ -165,6 +170,8 @@ def verify(ctx: click.Context, file, mode: str, trials: int, seed: int) -> None:
 @click.pass_context
 def metrics(ctx: click.Context, file, as_csv: bool) -> None:
     """Print gate counts, quantum cost, depth, and the witness schedule."""
+    from .metrics import analyze, render_metrics_csv, render_metrics_text
+
     circuit, _ = _read_document(ctx, file)
     report = analyze(circuit)
     if as_csv:
@@ -177,6 +184,8 @@ def metrics(ctx: click.Context, file, as_csv: bool) -> None:
 @click.option("--csv", "as_csv", is_flag=True, help="Machine-readable output.")
 def compare(as_csv: bool) -> None:
     """Compare the built-in adders against the published figures."""
+    from .metrics import analyze, compare_report, render_comparison_csv, render_comparison_text
+
     ppkn, _ = build_ppkn()
     hng, _ = build_hng_reference()
     table = compare_report([
@@ -196,6 +205,8 @@ def compare(as_csv: bool) -> None:
 @click.pass_context
 def export(ctx: click.Context, file, fmt: str) -> None:
     """Convert a netlist to an interchange format."""
+    from .qasm import export_qasm
+
     circuit, _ = _read_document(ctx, file)
     click.echo(export_qasm(circuit), nl=False)
 

@@ -13,6 +13,10 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Optional
 
+#: The widest circuit a netlist may declare or `build rca` may emit. Both
+#: refuse more before allocating anything per line.
+MAX_LINES = 1 << 16
+
 
 class CircuitError(Exception):
     """Base class for everything this package raises on bad input."""

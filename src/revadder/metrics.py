@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import Circuit, describe_gate
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple):
     """Per-gate cost weights. The stock model prices NOT=1, CNOT=1, Toffoli=5."""
 
     not_cost: int = 1
@@ -30,8 +29,7 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Timestep assignment witnessing a logical depth.
 
     `timesteps[t]` lists (ascending) the indices into the circuit's gate
@@ -80,8 +78,7 @@ def logical_depth(circuit: Circuit) -> tuple[int, Schedule]:
     return len(steps), Schedule(tuple(tuple(step) for step in steps))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """All computed figures for one circuit, plus the depth witness."""
 
     gate_count: int
@@ -157,8 +154,7 @@ TSG_PUBLISHED = ComparisonRow(
 DEFAULT_LITERATURE = (HNG_PUBLISHED, TSG_PUBLISHED)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """A computed figure that disagrees with its published counterpart."""
 
     name: str
@@ -174,8 +170,7 @@ class Discrepancy:
         )
 
 
-@dataclass(frozen=True)
-class QcReduction:
+class QcReduction(NamedTuple):
     """Quantum-cost reduction of one row over a published baseline."""
 
     name: str
@@ -197,8 +192,7 @@ class QcReduction:
         )
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     discrepancies: tuple[Discrepancy, ...]
     qc_reduction: Optional[QcReduction]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
+    MAX_LINES,
     Circuit,
     CircuitError,
     Gate,
@@ -102,6 +103,8 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
             width = _int_token(args[0], line_no, "a width")
             if width < 1:
                 raise ParseError(f"width must be >= 1, got {width}", line_no)
+            if width > MAX_LINES:
+                raise ParseError(f"width is capped at {MAX_LINES} lines, got {width}", line_no)
 
         elif keyword == "input":
             if len(args) != 2:

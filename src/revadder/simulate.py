@@ -13,10 +13,9 @@ Integer encodings of states put line 0 in the least significant bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import CapacityError, Circuit, Gate, StructuralError
+from .core import CapacityError, Circuit, Gate, StructuralError, _Frozen
 
 BitState = tuple[int, ...]
 
@@ -93,8 +92,7 @@ def transpose(
     return [int(text[width - 1 - i :: width], 2) for i in columns]
 
 
-@dataclass(frozen=True)
-class BatchState:
+class BatchState(_Frozen):
     """Bit-parallel bundle of test vectors.
 
     `words[i]` holds the value of line i for every lane: bit j of each
@@ -103,18 +101,21 @@ class BatchState:
     bits at or above it must be zero.
     """
 
+    __slots__ = ("words", "lanes")
     words: tuple[int, ...]
     lanes: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(self.words))
-        if self.lanes < 1:
-            raise StructuralError(f"lanes must be >= 1, got {self.lanes}")
-        for i, word in enumerate(self.words):
-            if word < 0 or word >> self.lanes:
+    def __init__(self, words: Sequence[int], lanes: int) -> None:
+        words = tuple(words)
+        if lanes < 1:
+            raise StructuralError(f"lanes must be >= 1, got {lanes}")
+        for i, word in enumerate(words):
+            if word < 0 or word >> lanes:
                 raise StructuralError(
-                    f"word for line {i} has bits outside {self.lanes} lanes"
+                    f"word for line {i} has bits outside {lanes} lanes"
                 )
+        _set_words(self, words)
+        _set_lanes(self, lanes)
 
     @property
     def width(self) -> int:
@@ -148,6 +149,9 @@ class BatchState:
 
     def lanes_as_ints(self) -> list[int]:
         return transpose(self.words, self.lanes)
+
+
+_set_words, _set_lanes = (getattr(BatchState, f).__set__ for f in BatchState.__slots__)
 
 
 def all_basis_states(width: int) -> BatchState:
@@ -189,8 +193,7 @@ def simulate_batch(circuit: Circuit, batch: BatchState) -> BatchState:
     return BatchState(tuple(words), batch.lanes)
 
 
-@dataclass(frozen=True)
-class PermutationTable:
+class PermutationTable(NamedTuple):
     """The map a circuit induces on integer-encoded basis states.
 
     `entries[x]` is the encoding of the output state for input x, with

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,8 @@ from click.testing import CliRunner
 
 import revadder
 from revadder import build_ppkn, canonical_layout, serialize_netlist
-from revadder.cli import main
+from revadder.cli import MAX_RCA_BITS, main
+from revadder.core import MAX_LINES
 
 runner = CliRunner()
 
@@ -209,6 +211,60 @@ def test_non_utf8_input_is_a_parse_error(command):
     stderr = result.stderr.decode()
     assert "Traceback" not in stderr
     assert stderr.startswith("<stdin>: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, document, code, cap",
+    [
+        (["build", "rca", "--bits", str(MAX_RCA_BITS + 1)], "", 2, MAX_RCA_BITS),
+        (["verify", "-"], f"lines {MAX_LINES + 1}\n", 3, MAX_LINES),
+    ],
+    ids=["build-bits", "document-lines"],
+)
+def test_oversized_inputs_are_refused_before_allocation(args, document, code, cap):
+    # at the cap plus one, so that a missing check fails fast
+    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "revadder", *args],
+        input=document, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1 and f"capped at {cap}" in result.stderr
+
+
+STARTUP_PROBE = """
+import json, sys
+import revadder.cli
+import revadder
+loaded = [m for m in ("revadder.metrics", "revadder.qasm") if m in sys.modules]
+undirred = sorted(set(revadder.__all__) - set(dir(revadder)))
+from revadder import analyze, export_qasm, simulate
+print(json.dumps({
+    "loaded": loaded,
+    "undirred": undirred,
+    "kinds": [type(f).__name__ for f in (simulate, analyze, export_qasm)],
+    "unresolved": [name for name in revadder.__all__ if not hasattr(revadder, name)],
+    "unknown_resolves": hasattr(revadder, "no_such_name"),
+}))
+"""
+
+
+def test_cli_start_up_loads_metrics_and_qasm_only_on_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "loaded": [],
+        "undirred": [],
+        # `simulate` names both a submodule and a function: the function wins
+        "kinds": ["function", "function", "function"],
+        "unresolved": [],
+        "unknown_resolves": False,
+    }
 
 
 def test_verify_exhaustive_beyond_cap_is_usage_error():

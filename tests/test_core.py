@@ -7,11 +7,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from revadder import (
+    BatchState,
     Gate,
     GateKind,
     StructuralError,
+    analyze,
     ancilla,
+    build_ppkn,
     build_rca,
+    canonical_layout,
     cnot,
     named,
     new_circuit,
@@ -19,6 +23,7 @@ from revadder import (
     permutation_of,
     simulate,
     toffoli,
+    verify_full_adder,
 )
 
 from helpers import LABEL_RE, bitstates_st, circuits_st, gates_st, identifiers
@@ -199,14 +204,38 @@ def test_role_repr():
     assert repr(ancilla()) == "LineRole(name=None, output=None)"
 
 
+def test_layout_and_report_repr():
+    assert repr(canonical_layout(2)) == (
+        "AdderLayout(n_bits=2, cin_line=0, a_lines=(1, 4), b_lines=(2, 5), "
+        "ancilla_lines=(3, 6))"
+    )
+    circuit, layout = build_ppkn()
+    broken = dataclasses.replace(circuit, gates=circuit.gates[:-1])
+    assert repr(verify_full_adder(broken, layout)) == (
+        "VerificationReport(cases=8, mismatches=("
+        "Mismatch(a=1, b=0, cin=0, quantity='sum', expected=1, actual=0), "
+        "Mismatch(a=1, b=0, cin=1, quantity='sum', expected=0, actual=1), "
+        "Mismatch(a=1, b=1, cin=0, quantity='sum', expected=0, actual=1), "
+        "Mismatch(a=1, b=1, cin=1, quantity='sum', expected=1, actual=0)), "
+        "bijective=True)"
+    )
+    assert repr(analyze(circuit)) == (
+        "MetricsReport(gate_count=6, not_count=0, cnot_count=5, toffoli_count=1, "
+        "quantum_cost=10, logical_depth=4, "
+        "schedule=Schedule(timesteps=((0, 1), (2,), (3, 4), (5,))))"
+    )
+
+
 #: one value of each slot-based class, with its fields in declaration order
 VALUES = [
     (toffoli(3, 1, 0), (GateKind.TOFFOLI, (1, 3), 0)),
     (not_gate(2), (GateKind.NOT, (), 2)),
     (named("A", "Sum"), ("A", "Sum")),
     (ancilla(), (None, None)),
+    (canonical_layout(2), (2, 0, (1, 4), (2, 5), (3, 6))),
+    (BatchState((1, 2), 2), ((1, 2), 2)),
 ]
-VALUE_IDS = ["toffoli", "not", "named", "ancilla"]
+VALUE_IDS = ["toffoli", "not", "named", "ancilla", "layout", "batch"]
 
 
 @pytest.mark.parametrize("value, fields", VALUES, ids=VALUE_IDS)

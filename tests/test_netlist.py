@@ -14,6 +14,7 @@ from revadder import (
     serialize_netlist,
     toffoli,
 )
+from revadder.core import MAX_LINES
 
 from helpers import circuits_st, identifiers
 
@@ -109,6 +110,7 @@ def test_serialize_rejects_noncanonical_layout():
         ("lines 0\n", 1, "width must be >= 1"),
         ("lines x\n", 1, "expected a width"),
         ("lines 2 2\n", 1, "usage: lines"),
+        (f"lines {MAX_LINES + 1}\n", 1, f"capped at {MAX_LINES} lines"),
         ("lines 2\ninput 0\n", 2, "usage: input"),
         ("lines 2\ninput 0 9bad\n", 2, "label"),
         ("lines 2\ninput 0 a\ninput 0 b\n", 3, "already declared"),
@@ -144,6 +146,11 @@ def test_parse_errors(text, line, fragment):
     assert exc.value.line == line
     assert fragment in exc.value.message
     assert str(exc.value).startswith(f"line {line}:")
+
+
+def test_width_cap_admits_exactly_max_lines():
+    circuit, _ = parse_netlist(f"lines {MAX_LINES}\n")
+    assert circuit.width == MAX_LINES
 
 
 def test_ancilla_accepts_explicit_zero():

@@ -158,6 +158,13 @@ def test_batch_rejects_word_overflow():
         BatchState(words=(0b100,), lanes=2)
 
 
+def test_batch_stores_words_as_a_tuple_and_checks_every_word():
+    assert BatchState([1, 2], 2).words == (1, 2)
+    for words, lanes in [((0,), 0), ((1, -1), 2), ((1, 0b100), 2)]:
+        with pytest.raises(StructuralError):
+            BatchState(words, lanes)
+
+
 def test_all_basis_states_orders_lanes_by_integer():
     batch = all_basis_states(4)
     assert batch.lanes == 16
