@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from itertools import product
 
@@ -31,7 +32,7 @@ from revadder import (
     verify_full_adder,
     verify_rca,
 )
-from revadder.adders import _ripple_words
+from revadder.adders import _ripple_words, _set_bit_positions
 
 from helpers import reference_mismatches, transpose_reference
 
@@ -470,6 +471,53 @@ def test_random_mode_fails_every_one_gate_deletion_at_32_bits():
         report = verify_rca(broken, layout, "random", trials=1000, seed=index)
         assert not report.passed, index
         assert report.cases == 1000
+
+
+#: SHA-256 of the reprs of `_failing_reports_at_32_bits()`, pinned from the
+#: word-level checker before its failing path was tuned for speed
+FAILING_REPORTS_SHA256 = "c1426650fa00813f2a1713d1455b0932bf6e28e7d59e65a9cf8842bdd2de62b6"
+
+
+def _failing_reports_at_32_bits() -> list:
+    """Six seeded one-gate deletions of the 32-bit cascade, 10k vectors each."""
+    n = 32
+    return [
+        verify_rca(_rca_without(n, index)[0], canonical_layout(n), "random",
+                   trials=10000, seed=index)
+        for index in random.Random(n).sample(range(6 * n), 6)
+    ]
+
+
+def test_failing_reports_at_32_bits_are_pinned():
+    # the wide-batch benchmark's shape, where the scalar reference is too
+    # slow: the whole report, mismatch order included, is pinned by digest
+    reports = _failing_reports_at_32_bits()
+    digest = hashlib.sha256()
+    for report in reports:
+        assert not report.passed and report.cases == 10000
+        for m in report.mismatches:
+            assert type(m) is Mismatch
+            assert m.describe().startswith(f"a={m.a} b={m.b} cin={m.cin}: {m.quantity} ")
+        digest.update(repr(report).encode())
+    assert sum(len(r.mismatches) for r in reports) == 41317
+    assert digest.hexdigest() == FAILING_REPORTS_SHA256
+
+
+def _set_bit_positions_reference(word: int) -> list:
+    return [i for i in range(word.bit_length()) if (word >> i) & 1]
+
+
+@pytest.mark.parametrize(
+    "word", [0, 1, 2, 0b1011, 1 << 9999, (1 << 10000) - 1, (1 << 10000) - 2]
+)
+def test_set_bit_positions_edge_words(word):
+    assert list(_set_bit_positions(word)) == _set_bit_positions_reference(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, (1 << 2000) - 1))
+def test_set_bit_positions_match_bit_by_bit_reference(word):
+    assert list(_set_bit_positions(word)) == _set_bit_positions_reference(word)
 
 
 def test_exhaustive_mismatches_match_scalar_reference():

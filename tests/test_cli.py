@@ -139,6 +139,43 @@ def test_verify_broken_hng_listing_is_pinned():
     )
 
 
+def test_verify_failing_32_bit_random_report_is_pinned():
+    # block 31 without its first fan-out onto a: a, cout and sum all go
+    # wrong, three mismatches per row, and the listing stops after 20
+    doc = invoke("build", "rca", "--bits", "32").output
+    broken = doc.replace("cnot 95 94\n", "", 1)
+    assert broken.count("cnot 95 94\n") == 1
+    result = invoke(
+        "verify", "-", "--mode", "random", "--trials", "2000", "--seed", "5",
+        input=broken,
+    )
+    assert result.exit_code == 1
+    assert result.output == (
+        "FAIL: 1001 of 2000 rows wrong (2502 mismatches)\n"
+        "  a=5636345 b=3388390180 cin=0: a expected 5636345, got 2153119993\n"
+        "  a=5636345 b=3388390180 cin=0: cout expected 0, got 1\n"
+        "  a=5636345 b=3388390180 cin=0: sum expected 3394026525, got 1246542877\n"
+        "  a=35559688 b=4231781309 cin=0: a expected 35559688, got 2183043336\n"
+        "  a=35559688 b=4231781309 cin=0: cout expected 0, got 1\n"
+        "  a=35559688 b=4231781309 cin=0: sum expected 4267340997, got 2119857349\n"
+        "  a=44513976 b=3067528732 cin=0: a expected 44513976, got 2191997624\n"
+        "  a=44513976 b=3067528732 cin=0: cout expected 0, got 1\n"
+        "  a=44513976 b=3067528732 cin=0: sum expected 3112042708, got 964559060\n"
+        "  a=56313412 b=4190503144 cin=0: a expected 56313412, got 2203797060\n"
+        "  a=56313412 b=4190503144 cin=0: cout expected 0, got 1\n"
+        "  a=56313412 b=4190503144 cin=0: sum expected 4246816556, got 2099332908\n"
+        "  a=58050234 b=3961007531 cin=0: a expected 58050234, got 2205533882\n"
+        "  a=58050234 b=3961007531 cin=0: cout expected 0, got 1\n"
+        "  a=58050234 b=3961007531 cin=0: sum expected 4019057765, got 1871574117\n"
+        "  a=70014825 b=4026810991 cin=0: a expected 70014825, got 2217498473\n"
+        "  a=70014825 b=4026810991 cin=0: cout expected 0, got 1\n"
+        "  a=70014825 b=4026810991 cin=0: sum expected 4096825816, got 1949342168\n"
+        "  a=70180677 b=2890529813 cin=0: a expected 70180677, got 2217664325\n"
+        "  a=70180677 b=2890529813 cin=0: cout expected 0, got 1\n"
+        "  ... and 2482 more\n"
+    )
+
+
 def test_verify_hng_by_role_names():
     doc = invoke("build", "hng").output
     result = invoke("verify", "-", input=doc)
