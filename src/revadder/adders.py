@@ -10,6 +10,7 @@ addition (`oracle_add` and its word-wide form), never against a circuit.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Literal, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -36,6 +37,8 @@ from .simulate import (
 
 #: verify_rca enumerates all 2^(2n+1) vectors only up to this operand width.
 EXHAUSTIVE_ADDER_BITS = 8
+#: verify_rca samples at most this many lane bits, trials x circuit width
+RANDOM_LANE_BITS = 1 << 28
 
 DEFAULT_TRIALS = 10000
 DEFAULT_SEED = 0xADD
@@ -231,13 +234,14 @@ class VerificationReport(NamedTuple):
         return {(m.a, m.b, m.cin) for m in self.mismatches}
 
 
-def _set_bit_positions(word: int):
-    """Indices of the set bits of `word`, ascending, in one pass over its text."""
-    bits = format(word, "b")[::-1]
-    i = bits.find("1")
-    while i >= 0:
-        yield i
-        i = bits.find("1", i + 1)
+#: binary text to bytes 0/1, so that `compress` can read it as flags
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bit_positions(word: int) -> list[int]:
+    """Indices of the set bits of `word`, ascending; both passes run in C."""
+    bits = format(word, "b")[::-1].encode().translate(_BINARY_DIGITS)
+    return list(compress(range(len(bits)), bits))
 
 
 def _ripple_words(
@@ -282,7 +286,8 @@ def _check_lanes(
     )
     # per differing quantity a bad-lane flag and its output lines, then the
     # operands b, a, cin on top: a stacked lane value sorts by (cin, a, b),
-    # and a row drawn twice gives the same value twice
+    # and a row drawn twice gives the same value twice. A field is (flag bit,
+    # value offset, value mask, rank, quantity).
     stack, fields, bad_lanes = [], [], 0
     for rank, (lines, expected_words) in enumerate(checks):
         got = [out.words[line] for line in lines]
@@ -290,7 +295,8 @@ def _check_lanes(
         for expected_word, word in zip(expected_words, got):
             bad |= expected_word ^ word
         if bad:
-            fields.append((rank, len(stack), (1 << len(lines)) - 1))
+            shift, mask = len(stack), (1 << len(lines)) - 1
+            fields.append((1 << shift, shift + 1, mask, rank, _QUANTITIES[rank]))
             stack += [bad, *got]
             bad_lanes |= bad
     if not bad_lanes:
@@ -299,18 +305,24 @@ def _check_lanes(
     stack += [*b_words, *a_words, cin_word]
     m = (1 << n) - 1
     mismatches = []
-    bad_values = transpose(stack, lanes, list(_set_bit_positions(bad_lanes)))
+    append = mismatches.append
+    bad_values = transpose(stack, lanes, _set_bit_positions(bad_lanes))
     for value in sorted(set(bad_values)):
         key = value >> key_shift
         a, b, cin = (key >> n) & m, key & m, key >> (2 * n)
-        total = a + b + cin
-        expected = (a, b, total >> n, total & m)
-        for rank, shift, mask in fields:
-            if (value >> shift) & 1:
-                actual = (value >> (shift + 1)) & mask
-                mismatches.append(
-                    Mismatch(a, b, cin, _QUANTITIES[rank], expected[rank], actual)
-                )
+        for flag, offset, mask, rank, quantity in fields:
+            if value & flag:
+                if rank == 0:
+                    expected = a
+                elif rank == 1:
+                    expected = b
+                elif rank == 2:
+                    expected = (a + b + cin) >> n
+                else:
+                    expected = (a + b + cin) & m
+                actual = (value >> offset) & mask
+                # Mismatch._make without its length check: skips the generated __new__
+                append(tuple.__new__(Mismatch, (a, b, cin, quantity, expected, actual)))
     return VerificationReport(lanes, tuple(mismatches))
 
 
@@ -327,7 +339,8 @@ def verify_rca(
     Exhaustive mode enumerates all 2^(2n+1) operand combinations
     (permitted for n <= 8); random mode samples `trials` seeded vectors,
     drawn line-major: one `trials`-bit word per line, a_0..a_{n-1}, then
-    b_0..b_{n-1}, then cin. Checked on every vector: all sum bits (which
+    b_0..b_{n-1}, then cin, with trials x circuit width at most
+    `RANDOM_LANE_BITS`. Checked on every vector: all sum bits (which
     live on the carry-in line and the intermediate ancillas), the final
     carry, and bit-exact preservation of every A and B line.
     """
@@ -350,6 +363,11 @@ def verify_rca(
     elif mode == "random":
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        if trials * circuit.width > RANDOM_LANE_BITS:
+            raise CapacityError(
+                f"random adder verification capped at {RANDOM_LANE_BITS} lane bits "
+                f"(trials x {circuit.width} lines), requested {trials} trials"
+            )
         rng = random.Random(seed)
         lanes = trials
         words = [rng.getrandbits(trials) for _ in range(2 * n + 1)]

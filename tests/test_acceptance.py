@@ -285,11 +285,11 @@ def test_failing_random_verify_at_32_bits(capsys):
     started = time.perf_counter()
     reports = [verify_rca(m, layout, mode="random", trials=10000) for m in mutants]
     elapsed = time.perf_counter() - started
-    ok = all(not r.passed and r.cases == 10000 for r in reports) and elapsed < 0.3
+    ok = all(not r.passed and r.cases == 10000 for r in reports) and elapsed < 0.2
     announce(
         capsys,
         "32-bit cascade: each one-gate deletion of block 16 fails 10k random "
-        "vectors, all six in under 0.3 s",
+        "vectors, all six in under 0.2 s",
         ok,
         f"{elapsed * 1000:.0f} ms",
     )

@@ -32,7 +32,7 @@ from revadder import (
     verify_full_adder,
     verify_rca,
 )
-from revadder.adders import _ripple_words, _set_bit_positions
+from revadder.adders import RANDOM_LANE_BITS, _ripple_words, _set_bit_positions
 
 from helpers import reference_mismatches, transpose_reference
 
@@ -271,6 +271,22 @@ def test_rca_exhaustive_capacity_cap():
     with pytest.raises(CapacityError) as exc:
         verify_rca(c, layout, "exhaustive")
     assert "8" in str(exc.value)
+
+
+def test_rca_random_lane_bits_cap():
+    c, layout = build_rca(5)
+    assert c.width == 16
+    report = verify_rca(c, layout, "random", trials=RANDOM_LANE_BITS // 16)
+    assert report.passed and report.cases * c.width == RANDOM_LANE_BITS
+    # one spare line makes 17 lines, and 17 x 15,790,321 is the cap plus one
+    wider = new_circuit(17, c.roles + (ancilla(),)).extend(c.gates)
+    trials = (RANDOM_LANE_BITS + 1) // 17
+    assert trials * 17 == RANDOM_LANE_BITS + 1
+    for circuit, count in ((wider, trials), (c, 10**12)):
+        with pytest.raises(CapacityError) as exc:
+            verify_rca(circuit, layout, "random", trials=count)
+        assert f"capped at {RANDOM_LANE_BITS} lane bits" in str(exc.value)
+        assert str(count) in str(exc.value)
 
 
 def test_rca_random_verification():

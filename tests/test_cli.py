@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 import revadder
 from revadder import build_ppkn, canonical_layout, serialize_netlist
+from revadder.adders import RANDOM_LANE_BITS
 from revadder.cli import MAX_RCA_BITS, main
 from revadder.core import MAX_LINES
 
@@ -269,6 +270,22 @@ def test_oversized_inputs_are_refused_before_allocation(args, document, code, ca
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert result.stderr.count("\n") == 1 and f"capped at {cap}" in result.stderr
+
+
+@pytest.mark.parametrize("trials", [RANDOM_LANE_BITS // 16 + 1, 10**12])
+def test_verify_oversized_trials_is_usage_error(trials):
+    # a 5-bit cascade has 16 lines, so the first row is the lane-bit cap plus 16
+    doc = invoke("build", "rca", "--bits", "5").output
+    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "revadder", "verify", "--mode", "random",
+         "--trials", str(trials), "-"],
+        input=doc, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert f"capped at {RANDOM_LANE_BITS} lane bits" in result.stderr
 
 
 STARTUP_PROBE = """

@@ -274,8 +274,11 @@ _noise_st = st.one_of(
         st.one_of(st.sampled_from(_KEYWORDS), _junk_tokens_st),
         st.lists(_junk_tokens_st, max_size=4),
     ),
-    # widths stay at most 64: an unbounded `lines` would allocate without limit
-    st.text(max_size=12).filter(lambda t: "lines" not in t),
+    # any width at all: MAX_LINES refuses the huge ones before they allocate
+    st.one_of(
+        st.integers(), st.sampled_from((MAX_LINES, MAX_LINES + 1, 10**12))
+    ).map(lambda width: f"lines {width}"),
+    st.text(max_size=12),
 )
 
 
@@ -292,9 +295,13 @@ def _documents_st(draw):
 @settings(max_examples=300)
 @given(_documents_st())
 def test_parse_fuzz_raises_only_parse_errors_and_round_trips(text):
+    # every document declares its width, so a second `lines` must be refused
+    keywords = [raw.split("#", 1)[0].split()[:1] for raw in text.splitlines()]
+    redeclared = keywords.count(["lines"]) > 1
     try:
         circuit, layout = parse_netlist(text)
     except ParseError as exc:
         assert 1 <= exc.line <= max(1, len(text.splitlines()))
         return
+    assert not redeclared
     assert parse_netlist(serialize_netlist(circuit, layout)) == (circuit, layout)
