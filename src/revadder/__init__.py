@@ -11,7 +11,6 @@ from .core import (
     cnot,
     named,
     new_circuit,
-    not_gate,
     toffoli,
 )
 from .simulate import (
@@ -20,8 +19,6 @@ from .simulate import (
     PermutationTable,
     all_basis_states,
     apply_gate,
-    bits_to_int,
-    int_to_bits,
     is_bijection,
     permutation_of,
     simulate,
@@ -49,11 +46,9 @@ _LAZY = {
     "DEFAULT_LITERATURE": "metrics",
     "HNG_PUBLISHED": "metrics",
     "TSG_PUBLISHED": "metrics",
-    "CostModel": "metrics",
     "analyze": "metrics",
     "compare_report": "metrics",
     "logical_depth": "metrics",
-    "quantum_cost": "metrics",
     "render_comparison_csv": "metrics",
     "render_comparison_text": "metrics",
     "render_metrics_csv": "metrics",
@@ -85,7 +80,6 @@ __all__ = [
     "CapacityError",
     "Circuit",
     "CircuitError",
-    "CostModel",
     "DEFAULT_LITERATURE",
     "EXHAUSTIVE_LINE_LIMIT",
     "Gate",
@@ -101,7 +95,6 @@ __all__ = [
     "analyze",
     "ancilla",
     "apply_gate",
-    "bits_to_int",
     "build_hng_reference",
     "build_ppkn",
     "build_rca",
@@ -109,17 +102,14 @@ __all__ = [
     "cnot",
     "compare_report",
     "export_qasm",
-    "int_to_bits",
     "is_bijection",
     "logical_depth",
     "named",
     "new_circuit",
-    "not_gate",
     "oracle_add",
     "parse_netlist",
     "permutation_of",
     "ppkn_gates",
-    "quantum_cost",
     "render_comparison_csv",
     "render_comparison_text",
     "render_metrics_csv",

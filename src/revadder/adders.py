@@ -103,14 +103,6 @@ class AdderLayout(_Frozen):
     def width(self) -> int:
         return 3 * self.n_bits + 1
 
-    def encode_input(self, a: int, b: int, cin: int) -> int:
-        """Integer-encoded input state (line 0 = LSB) for given operands."""
-        value = cin << self.cin_line
-        for i in range(self.n_bits):
-            value |= ((a >> i) & 1) << self.a_lines[i]
-            value |= ((b >> i) & 1) << self.b_lines[i]
-        return value
-
 
 _SETTERS = tuple(getattr(AdderLayout, f).__set__ for f in AdderLayout.__slots__)
 
@@ -403,7 +395,11 @@ def verify_full_adder(circuit: Circuit, layout: AdderLayout) -> VerificationRepo
 
 # ---------------------------------------------------------------- rendering
 
-def render_verification_text(report: VerificationReport, limit: int = 20) -> str:
+#: mismatches a report lists before it counts the rest
+LISTED_MISMATCHES = 20
+
+
+def render_verification_text(report: VerificationReport) -> str:
     lines = []
     if report.passed:
         lines.append(f"PASS: {report.cases} cases, 0 mismatches")
@@ -412,10 +408,10 @@ def render_verification_text(report: VerificationReport, limit: int = 20) -> str
             f"FAIL: {len(report.failing_rows())} of {report.cases} rows wrong "
             f"({len(report.mismatches)} mismatches)"
         )
-        for m in report.mismatches[:limit]:
+        for m in report.mismatches[:LISTED_MISMATCHES]:
             lines.append(f"  {m.describe()}")
-        if len(report.mismatches) > limit:
-            lines.append(f"  ... and {len(report.mismatches) - limit} more")
+        if len(report.mismatches) > LISTED_MISMATCHES:
+            lines.append(f"  ... and {len(report.mismatches) - LISTED_MISMATCHES} more")
     if report.bijective is not None:
         state = "bijective" if report.bijective else "NOT bijective"
         lines.append(f"basis-state map: {state}")

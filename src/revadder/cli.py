@@ -139,7 +139,12 @@ def verify(ctx: click.Context, file, mode: str, trials: int, seed: int) -> None:
             "document has no adder layout and its roles do not describe "
             "a 1-bit adder (inputs Cin/A/B plus one ancilla)"
         )
-    if layout.n_bits == 1:
+    n = layout.n_bits
+    if mode == "auto":
+        mode = "exhaustive" if n <= EXHAUSTIVE_ADDER_BITS else "random"
+    # an exhaustive check draws nothing, so a sampling flag would be
+    # ignored while the report reads "PASS: <all rows> cases"
+    if n == 1 or mode == "exhaustive" and n <= EXHAUSTIVE_ADDER_BITS:
         sampling = ["--mode random"] if mode == "random" else []
         sampling += [
             f"--{name}" for name in ("trials", "seed")
@@ -147,14 +152,13 @@ def verify(ctx: click.Context, file, mode: str, trials: int, seed: int) -> None:
         ]
         if sampling:
             click.echo(
-                f"Error: {', '.join(sampling)} not allowed: a 1-bit adder is "
-                "always checked on all 8 rows", err=True,
+                f"Error: {', '.join(sampling)} not allowed: a {n}-bit adder is "
+                f"checked on all {1 << (2 * n + 1)} rows", err=True,
             )
             ctx.exit(EXIT_USAGE)
+    if n == 1:
         report = verify_full_adder(circuit, layout)
     else:
-        if mode == "auto":
-            mode = "exhaustive" if layout.n_bits <= EXHAUSTIVE_ADDER_BITS else "random"
         try:
             report = verify_rca(circuit, layout, mode, trials=trials, seed=seed)
         except CapacityError as exc:

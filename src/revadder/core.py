@@ -8,7 +8,7 @@ are immutable: builders return new values, so they are safe to share.
 from __future__ import annotations
 
 import copy
-from dataclasses import FrozenInstanceError, dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -27,7 +27,7 @@ class StructuralError(CircuitError):
 
 
 class CapacityError(CircuitError):
-    """An exhaustive operation was requested beyond its configured limit."""
+    """A request beyond a fixed capacity cap: lines, vectors or lane bits."""
 
 
 class GateKind(Enum):
@@ -114,11 +114,6 @@ class Gate(_Frozen):
         _set_target(self, target)
 
     @property
-    def support(self) -> frozenset[int]:
-        """All lines the gate touches: controls plus target."""
-        return frozenset(self.controls) | {self.target}
-
-    @property
     def max_line(self) -> int:
         """The largest line the gate touches: its target or its last control."""
         controls = self.controls
@@ -126,10 +121,6 @@ class Gate(_Frozen):
 
 
 _set_kind, _set_controls, _set_target = (getattr(Gate, f).__set__ for f in Gate.__slots__)
-
-
-def not_gate(target: int) -> Gate:
-    return Gate(GateKind.NOT, (), target)
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -225,13 +216,6 @@ class Circuit:
                     f"width is {width}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def append(self, gate: Gate) -> Circuit:
-        """Return a new circuit with `gate` appended at the end."""
-        return self.extend((gate,))
-
     def extend(self, gates: Iterable[Gate]) -> Circuit:
         """Return a new circuit with `gates` appended, validating only those gates."""
         added = tuple(gates)
@@ -239,17 +223,6 @@ class Circuit:
         extended = copy.copy(self)
         object.__setattr__(extended, "gates", self.gates + added)
         return extended
-
-    def inverse(self) -> Circuit:
-        """The reversed gate list.
-
-        Every NCT gate is its own inverse, so running a circuit and then
-        its inverse is the identity on all basis states.
-        """
-        return replace(self, gates=tuple(reversed(self.gates)))
-
-    def count(self, kind: GateKind) -> int:
-        return sum(1 for g in self.gates if g.kind is kind)
 
 
 def new_circuit(width: int, roles: Iterable[LineRole]) -> Circuit:

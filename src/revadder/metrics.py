@@ -3,10 +3,10 @@
 The depth model: gates sharing only a control line may run in the same
 time step (fan-out from a shared control is free), but any overlap that
 involves a target forces sequencing. Two gates conflict when either
-one's target lies in the other's support (controls plus target). The
-scheduler is ASAP list scheduling over that conflict relation, read from
-a per-line frontier in time linear in the gate count; the returned
-schedule is the witness for the reported depth.
+one's target lies on a line the other touches (a control or its
+target). The scheduler is ASAP list scheduling over that conflict
+relation, read from a per-line frontier in time linear in the gate
+count; the returned schedule is the witness for the reported depth.
 """
 from __future__ import annotations
 
@@ -18,15 +18,9 @@ from typing import NamedTuple, Optional, Sequence
 from .core import Circuit, describe_gate
 
 
-class CostModel(NamedTuple):
-    """Per-gate cost weights. The stock model prices NOT=1, CNOT=1, Toffoli=5."""
-
-    not_cost: int = 1
-    cnot_cost: int = 1
-    toffoli_cost: int = 5
-
-
-DEFAULT_COST_MODEL = CostModel()
+#: The paper's quantum cost of each gate kind.
+NOT_COST = CNOT_COST = 1
+TOFFOLI_COST = 5
 
 
 class Schedule(NamedTuple):
@@ -40,10 +34,6 @@ class Schedule(NamedTuple):
 
     timesteps: tuple[tuple[int, ...], ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.timesteps)
-
 
 def logical_depth(circuit: Circuit) -> tuple[int, Schedule]:
     """ASAP longest-path depth with its witness schedule.
@@ -53,7 +43,7 @@ def logical_depth(circuit: Circuit) -> tuple[int, Schedule]:
     step, in any order within a step, reproduces sequential simulation.
 
     Per line l, `targeted[l]` is the deepest step of a gate targeting l
-    and `touched[l]` that of a gate whose support holds l. The deepest
+    and `touched[l]` that of any gate that touches l. The deepest
     earlier conflict of a gate is the largest of touched[its target] and
     targeted[its lines], so the cost is linear in the gate count.
     """
@@ -90,34 +80,18 @@ class MetricsReport(NamedTuple):
     schedule: Schedule
 
 
-def _kind_counts(circuit: Circuit) -> list[int]:
-    """NOT, CNOT and Toffoli counts, in one pass: indexed by control count."""
-    counts = [0, 0, 0]
+def analyze(circuit: Circuit) -> MetricsReport:
+    depth, schedule = logical_depth(circuit)
+    counts = [0, 0, 0]  # NOT, CNOT, Toffoli: indexed by control count
     for g in circuit.gates:
         counts[len(g.controls)] += 1
-    return counts
-
-
-def _cost(counts: list[int], model: CostModel) -> int:
-    nots, cnots, toffolis = counts
-    return nots * model.not_cost + cnots * model.cnot_cost + toffolis * model.toffoli_cost
-
-
-def quantum_cost(circuit: Circuit, model: CostModel = DEFAULT_COST_MODEL) -> int:
-    """Sum of per-gate costs under the model."""
-    return _cost(_kind_counts(circuit), model)
-
-
-def analyze(circuit: Circuit, model: CostModel = DEFAULT_COST_MODEL) -> MetricsReport:
-    depth, schedule = logical_depth(circuit)
-    counts = _kind_counts(circuit)
     nots, cnots, toffolis = counts
     return MetricsReport(
         gate_count=len(circuit.gates),
         not_count=nots,
         cnot_count=cnots,
         toffoli_count=toffolis,
-        quantum_cost=_cost(counts, model),
+        quantum_cost=nots * NOT_COST + cnots * CNOT_COST + toffolis * TOFFOLI_COST,
         logical_depth=depth,
         schedule=schedule,
     )
@@ -206,19 +180,15 @@ _CHECKED_METRICS = (
 )
 
 
-def compare_report(
-    computed: Sequence[tuple[str, MetricsReport]],
-    literature: Sequence[ComparisonRow] = DEFAULT_LITERATURE,
-) -> ComparisonTable:
-    """One table: the computed rows, then the published rows as given.
+def compare_report(computed: Sequence[tuple[str, MetricsReport]]) -> ComparisonTable:
+    """One table: the computed rows, then the published rows.
 
     A computed row named like "X" or "X-anything" is checked against the
-    published row "X" wherever both carry a figure; disagreements are
-    recorded, never reconciled. The table also carries the quantum-cost
-    reduction of the first computed row that has no published
-    counterpart, measured against the first published row. It is None
-    when there is no such computed row, no published row, or the first
-    published row gives no quantum cost.
+    published row "X" on the four figures the published rows give;
+    disagreements are recorded, never reconciled. The table also carries
+    the quantum-cost reduction of the first computed row that has no
+    published counterpart, measured against the first published row
+    (HNG); it is None when every computed row has a published counterpart.
     """
     if not computed:
         raise ValueError("compare_report needs at least one computed report")
@@ -228,7 +198,7 @@ def compare_report(
     ]
     discrepancies: list[Discrepancy] = []
     unpublished: list[ComparisonRow] = []
-    published_by_name = {row.name: row for row in literature}
+    published_by_name = {row.name: row for row in DEFAULT_LITERATURE}
     for row in rows:
         baseline = published_by_name.get(row.name.split("-", 1)[0])
         if baseline is None:
@@ -237,14 +207,14 @@ def compare_report(
         for label, attr in _CHECKED_METRICS:
             have = getattr(row, attr)
             want = getattr(baseline, attr)
-            if want is not None and have != want:
+            if have != want:
                 discrepancies.append(Discrepancy(row.name, baseline.name, label, have, want))
 
     reduction = None
-    if unpublished and literature and literature[0].quantum_cost:
-        row, baseline = unpublished[0], literature[0]
+    if unpublished:
+        row, baseline = unpublished[0], DEFAULT_LITERATURE[0]
         reduction = QcReduction(row.name, baseline.name, row.quantum_cost, baseline.quantum_cost)
-    return ComparisonTable((*rows, *literature), tuple(discrepancies), reduction)
+    return ComparisonTable((*rows, *DEFAULT_LITERATURE), tuple(discrepancies), reduction)
 
 
 # ---------------------------------------------------------------- rendering

@@ -41,7 +41,7 @@ class ParseError(CircuitError):
         self.message = message
 
 
-_GATE_KEYWORDS = {"not": GateKind.NOT, "cnot": GateKind.CNOT, "toffoli": GateKind.TOFFOLI}
+_GATE_KEYWORDS = {kind.value: kind for kind in GateKind}
 
 
 def _int_token(token: str, line_no: int, what: str) -> int:

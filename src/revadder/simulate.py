@@ -23,20 +23,6 @@ BitState = tuple[int, ...]
 EXHAUSTIVE_LINE_LIMIT = 20
 
 
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Pack a bit sequence into an integer, line 0 least significant."""
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit:
-            value |= 1 << i
-    return value
-
-
-def int_to_bits(value: int, width: int) -> BitState:
-    """Unpack `width` bits of an integer, line 0 least significant."""
-    return tuple((value >> i) & 1 for i in range(width))
-
-
 def apply_gate(gate: Gate, state: Sequence[int]) -> BitState:
     """XOR the target bit with the AND of the control bits.
 
@@ -122,16 +108,6 @@ class BatchState(_Frozen):
         return len(self.words)
 
     @classmethod
-    def from_states(cls, states: Sequence[Sequence[int]]) -> BatchState:
-        """Pack one lane per scalar state. All states must share a width."""
-        if not states:
-            raise StructuralError("empty batch")
-        width = len(states[0])
-        if any(len(state) != width for state in states):
-            raise StructuralError("ragged states in batch")
-        return cls.from_ints([bits_to_int(state) for state in states], width)
-
-    @classmethod
     def from_ints(cls, values: Sequence[int], width: int) -> BatchState:
         """Pack one lane per integer-encoded state (line 0 = LSB)."""
         if not values:
@@ -140,12 +116,6 @@ class BatchState(_Frozen):
             if value < 0 or value >> width:
                 raise StructuralError(f"lane {j} value {value} exceeds width {width}")
         return cls(tuple(transpose(values, width)), len(values))
-
-    def lane(self, j: int) -> BitState:
-        """The scalar state carried by lane j."""
-        if not 0 <= j < self.lanes:
-            raise StructuralError(f"lane {j} out of range for {self.lanes} lanes")
-        return tuple((word >> j) & 1 for word in self.words)
 
     def lanes_as_ints(self) -> list[int]:
         return transpose(self.words, self.lanes)
@@ -176,8 +146,8 @@ def all_basis_states(width: int) -> BatchState:
 def simulate_batch(circuit: Circuit, batch: BatchState) -> BatchState:
     """Run the circuit on every lane at once.
 
-    Lane j of the result equals `simulate(circuit, batch.lane(j))`; gates
-    become whole-word AND/XOR, so the cost is one pass per gate.
+    Lane j of the result equals `simulate` on the state lane j carries;
+    gates become whole-word AND/XOR, so the cost is one pass per gate.
     """
     if batch.width != circuit.width:
         raise StructuralError(
@@ -205,15 +175,15 @@ class PermutationTable(NamedTuple):
     entries: tuple[int, ...]
 
 
-def permutation_of(circuit: Circuit, limit: int = EXHAUSTIVE_LINE_LIMIT) -> PermutationTable:
+def permutation_of(circuit: Circuit) -> PermutationTable:
     """Enumerate the circuit over all 2^width basis states.
 
-    Refuses widths above `limit` (enumeration doubles per line); use the
-    batched simulator with sampled lanes beyond that.
+    Refuses widths above `EXHAUSTIVE_LINE_LIMIT` (enumeration doubles per
+    line); use the batched simulator with sampled lanes beyond that.
     """
-    if circuit.width > limit:
+    if circuit.width > EXHAUSTIVE_LINE_LIMIT:
         raise CapacityError(
-            f"exhaustive enumeration capped at {limit} lines, "
+            f"exhaustive enumeration capped at {EXHAUSTIVE_LINE_LIMIT} lines, "
             f"circuit has {circuit.width}"
         )
     out = simulate_batch(circuit, all_basis_states(circuit.width))

@@ -7,6 +7,7 @@ import re
 from hypothesis import strategies as st
 
 from revadder import (
+    BatchState,
     Gate,
     GateKind,
     Mismatch,
@@ -16,6 +17,51 @@ from revadder import (
     oracle_add,
     simulate,
 )
+
+
+def not_gate(target: int) -> Gate:
+    return Gate(GateKind.NOT, (), target)
+
+
+def bits_to_int(bits) -> int:
+    """Pack a bit sequence into an integer, line 0 least significant."""
+    value = 0
+    for i, bit in enumerate(bits):
+        if bit:
+            value |= 1 << i
+    return value
+
+
+def int_to_bits(value: int, width: int) -> tuple[int, ...]:
+    """Unpack `width` bits of an integer, line 0 least significant."""
+    return tuple((value >> i) & 1 for i in range(width))
+
+
+def encode_input(layout, a: int, b: int, cin: int) -> int:
+    """Integer-encoded input state (line 0 = LSB) of an adder layout."""
+    value = cin << layout.cin_line
+    for i in range(layout.n_bits):
+        value |= ((a >> i) & 1) << layout.a_lines[i]
+        value |= ((b >> i) & 1) << layout.b_lines[i]
+    return value
+
+
+def pack_states(states) -> BatchState:
+    """A batch with one lane per scalar state, in order."""
+    return BatchState.from_ints([bits_to_int(s) for s in states], len(states[0]))
+
+
+def lane_states(batch: BatchState) -> list[tuple[int, ...]]:
+    """The scalar state of every lane of a batch, in lane order."""
+    return [int_to_bits(v, batch.width) for v in batch.lanes_as_ints()]
+
+
+def kind_counts(circuit) -> dict[GateKind, int]:
+    """Gates of each kind, counted one gate at a time by its `kind`."""
+    counts = dict.fromkeys(GateKind, 0)
+    for gate in circuit.gates:
+        counts[gate.kind] += 1
+    return counts
 
 
 def available_kinds(width: int) -> list[GateKind]:
@@ -99,12 +145,7 @@ def reference_mismatches(circuit, layout, rows) -> tuple:
     n = layout.n_bits
     found = []
     for a, b, cin in dict.fromkeys(rows):
-        state = [0] * circuit.width
-        state[layout.cin_line] = cin
-        for i in range(n):
-            state[layout.a_lines[i]] = (a >> i) & 1
-            state[layout.b_lines[i]] = (b >> i) & 1
-        out = simulate(circuit, state)
+        out = simulate(circuit, int_to_bits(encode_input(layout, a, b, cin), circuit.width))
         want_sum, want_cout = oracle_add(a, b, cin, n)
         for quantity, expected, lines in (
             ("sum", want_sum, layout.sum_lines),

@@ -14,13 +14,11 @@ from revadder import (
     StructuralError,
     VerificationReport,
     ancilla,
-    bits_to_int,
     build_hng_reference,
     build_ppkn,
     build_rca,
     canonical_layout,
     cnot,
-    int_to_bits,
     logical_depth,
     named,
     new_circuit,
@@ -34,7 +32,14 @@ from revadder import (
 )
 from revadder.adders import RANDOM_LANE_BITS, _ripple_words, _set_bit_positions
 
-from helpers import reference_mismatches, transpose_reference
+from helpers import (
+    bits_to_int,
+    encode_input,
+    int_to_bits,
+    kind_counts,
+    reference_mismatches,
+    transpose_reference,
+)
 
 
 def test_oracle_add_basics():
@@ -68,8 +73,9 @@ def test_ppkn_netlist_is_exact():
         cnot(1, 0),
     )
     assert layout == AdderLayout(1, cin_line=0, a_lines=(1,), b_lines=(2,), ancilla_lines=(3,))
-    assert c.count(GateKind.TOFFOLI) == 1
-    assert c.count(GateKind.NOT) == 0
+    counts = kind_counts(c)
+    assert counts[GateKind.TOFFOLI] == 1
+    assert counts[GateKind.NOT] == 0
 
 
 def test_ppkn_roles_and_outputs():
@@ -109,7 +115,7 @@ def test_hng_reference_netlist_is_exact():
         cnot(0, 1),
     )
     assert layout == AdderLayout(1, cin_line=2, a_lines=(0,), b_lines=(1,), ancilla_lines=(3,))
-    assert c.count(GateKind.TOFFOLI) == 2
+    assert kind_counts(c)[GateKind.TOFFOLI] == 2
 
 
 def test_verify_full_adder_hng_reference():
@@ -187,8 +193,8 @@ def test_layout_rejects_duplicate_lines():
 def test_encode_input():
     layout = canonical_layout(2)
     # a=3 sets lines 1 and 4, b=1 sets line 2, cin=0 sets nothing
-    assert layout.encode_input(3, 1, 0) == (1 << 1) | (1 << 4) | (1 << 2)
-    assert layout.encode_input(0, 0, 1) == 1
+    assert encode_input(layout, 3, 1, 0) == (1 << 1) | (1 << 4) | (1 << 2)
+    assert encode_input(layout, 0, 0, 1) == 1
 
 
 def test_rca1_is_the_single_block():
@@ -202,7 +208,7 @@ def test_rca3_structure():
     c, layout = build_rca(3)
     assert c.width == 10
     assert len(c.gates) == 18
-    assert c.count(GateKind.TOFFOLI) == 3
+    assert kind_counts(c)[GateKind.TOFFOLI] == 3
     assert layout == canonical_layout(3)
     assert c.roles[0].output == "Sum0"
     assert c.roles[3].output == "Sum1"
@@ -221,8 +227,9 @@ def test_rca_rejects_zero_bits():
 def test_rca_counts_scale_linearly(n):
     c, _ = build_rca(n)
     assert len(c.gates) == 6 * n
-    assert c.count(GateKind.TOFFOLI) == n
-    assert c.count(GateKind.CNOT) == 5 * n
+    counts = kind_counts(c)
+    assert counts[GateKind.TOFFOLI] == n
+    assert counts[GateKind.CNOT] == 5 * n
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -241,7 +248,7 @@ def test_rca_exhaustive_verification(n):
 
 def test_rca2_single_vector():
     c, layout = build_rca(2)
-    state = int_to_bits(layout.encode_input(3, 1, 0), layout.width)
+    state = int_to_bits(encode_input(layout, 3, 1, 0), layout.width)
     out = simulate(c, state)
     # 3 + 1 + 0 = 4: sum bits 00, carry out 1
     assert [out[i] for i in layout.sum_lines] == [0, 0]
@@ -257,7 +264,7 @@ def test_rca_scalar_path_matches_oracle(n, data):
     a = data.draw(st.integers(0, (1 << n) - 1))
     b = data.draw(st.integers(0, (1 << n) - 1))
     cin = data.draw(st.integers(0, 1))
-    out = simulate(c, int_to_bits(layout.encode_input(a, b, cin), layout.width))
+    out = simulate(c, int_to_bits(encode_input(layout, a, b, cin), layout.width))
     want_sum, want_cout = oracle_add(a, b, cin, n)
     got_sum = bits_to_int(tuple(out[i] for i in layout.sum_lines))
     assert got_sum == want_sum
@@ -610,5 +617,10 @@ def test_render_verification_text_truncates():
     c, layout = build_rca(3)
     broken = dataclasses.replace(c, gates=c.gates[:-2])
     report = verify_rca(broken, layout)
-    text = render_verification_text(report, limit=5)
-    assert "... and" in text
+    lines = render_verification_text(report).splitlines()
+    assert lines[0] == "FAIL: 96 of 128 rows wrong (128 mismatches)"
+    assert lines[1:21] == [f"  {m.describe()}" for m in report.mismatches[:20]]
+    assert lines[21:] == ["  ... and 108 more"]
+    # twenty mismatches are all listed, with no count of the rest
+    twenty = report._replace(mismatches=report.mismatches[:20])
+    assert render_verification_text(twenty).splitlines()[1:] == lines[1:21]

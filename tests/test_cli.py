@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import revadder
-from revadder import build_ppkn, canonical_layout, serialize_netlist
+from revadder import build_ppkn, build_rca, canonical_layout, serialize_netlist
 from revadder.adders import RANDOM_LANE_BITS
 from revadder.cli import MAX_RCA_BITS, main
 from revadder.core import MAX_LINES
@@ -16,6 +16,7 @@ from revadder.core import MAX_LINES
 runner = CliRunner()
 
 PPKN_DOC = serialize_netlist(build_ppkn()[0], canonical_layout(1))
+RCA4_DOC = serialize_netlist(*build_rca(4))
 
 
 def invoke(*args, **kwargs):
@@ -217,18 +218,25 @@ def test_verify_rejects_non_positive_trials(trials):
     "flags", [["--mode", "random"], ["--trials", "5"], ["--seed", "3"]]
 )
 def test_verify_one_bit_document_rejects_sampling_flags(flags):
-    # a 1-bit adder is always checked on all 8 rows, so a sampling flag
-    # would otherwise be ignored while the report reads "PASS: 8 cases"
+    # an exhaustive check draws nothing, so a sampling flag would otherwise
+    # be ignored while the report reads "PASS: 8 cases". A 1-bit adder is
+    # always checked on all 8 rows; a 4-bit one on all 512 under --mode
+    # auto or exhaustive, but --mode random samples it.
+    runs = [(PPKN_DOC, flags, "all 8 rows")]
+    if flags[0] != "--mode":
+        for mode in ([], ["--mode", "exhaustive"]):
+            runs.append((RCA4_DOC, mode + flags, "all 512 rows"))
     env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-m", "revadder", "verify", "-", *flags],
-        input=PPKN_DOC, capture_output=True, text=True, env=env,
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert result.stderr.count("\n") == 1
-    assert flags[0] in result.stderr and "all 8 rows" in result.stderr
+    for document, args, rows in runs:
+        result = subprocess.run(
+            [sys.executable, "-m", "revadder", "verify", "-", *args],
+            input=document, capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2, args
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert flags[0] in result.stderr and rows in result.stderr
 
 
 def test_verify_one_bit_document_in_exhaustive_mode_passes():
@@ -319,6 +327,23 @@ def test_cli_start_up_loads_metrics_and_qasm_only_on_use():
         "unresolved": [],
         "unknown_resolves": False,
     }
+
+
+def test_public_surface_is_what_the_cli_and_benchmark_use():
+    assert sorted(revadder.__all__) == [
+        "AdderLayout", "BatchState", "CapacityError", "Circuit", "CircuitError",
+        "DEFAULT_LITERATURE", "EXHAUSTIVE_LINE_LIMIT", "Gate", "GateKind",
+        "HNG_PUBLISHED", "Mismatch", "ParseError", "PermutationTable",
+        "StructuralError", "TSG_PUBLISHED", "VerificationReport",
+        "all_basis_states", "analyze", "ancilla", "apply_gate",
+        "build_hng_reference", "build_ppkn", "build_rca", "canonical_layout",
+        "cnot", "compare_report", "export_qasm", "is_bijection", "logical_depth",
+        "named", "new_circuit", "oracle_add", "parse_netlist", "permutation_of",
+        "ppkn_gates", "render_comparison_csv", "render_comparison_text",
+        "render_metrics_csv", "render_metrics_text", "render_verification_text",
+        "serialize_netlist", "simulate", "simulate_batch", "toffoli",
+        "verify_full_adder", "verify_rca",
+    ]
 
 
 def test_verify_exhaustive_beyond_cap_is_usage_error():

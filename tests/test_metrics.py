@@ -8,8 +8,6 @@ from revadder import (
     DEFAULT_LITERATURE,
     HNG_PUBLISHED,
     TSG_PUBLISHED,
-    BatchState,
-    CostModel,
     GateKind,
     analyze,
     ancilla,
@@ -21,7 +19,6 @@ from revadder import (
     logical_depth,
     named,
     new_circuit,
-    quantum_cost,
     render_comparison_csv,
     render_comparison_text,
     render_metrics_csv,
@@ -35,7 +32,9 @@ from helpers import (
     bitstates_st,
     circuits_st,
     gates_conflict_reference,
+    kind_counts,
     longest_path_levels,
+    pack_states,
     random_circuit,
 )
 
@@ -43,23 +42,17 @@ PPKN_SCHEDULE = ((0, 1), (2,), (3, 4), (5,))
 
 
 def test_quantum_cost_of_empty_circuit():
-    assert quantum_cost(new_circuit(1, (named("a"),))) == 0
+    assert analyze(new_circuit(1, (named("a"),))).quantum_cost == 0
 
 
 def test_quantum_cost_ppkn():
     c, _ = build_ppkn()
-    assert quantum_cost(c) == 10
+    assert analyze(c).quantum_cost == 10
 
 
 def test_quantum_cost_hng_reference():
     c, _ = build_hng_reference()
-    assert quantum_cost(c) == 13
-
-
-def test_quantum_cost_custom_model():
-    c, _ = build_ppkn()
-    assert quantum_cost(c, CostModel(toffoli_cost=7)) == 12
-    assert quantum_cost(c, CostModel(cnot_cost=0, toffoli_cost=0)) == 0
+    assert analyze(c).quantum_cost == 13
 
 
 def test_conflict_rule():
@@ -116,8 +109,8 @@ def test_analyze_ppkn():
 
 
 def test_analyze_single_toffoli():
-    c = new_circuit(3, (named("a"), named("b"), ancilla())).append(
-        toffoli(0, 1, 2)
+    c = new_circuit(3, (named("a"), named("b"), ancilla())).extend(
+        (toffoli(0, 1, 2),)
     )
     report = analyze(c)
     assert report.gate_count == 1
@@ -143,7 +136,7 @@ def test_analyze_is_deterministic():
 @given(circuits_st(max_width=8, max_gates=40))
 def test_schedule_is_valid_partition(c):
     depth, schedule = logical_depth(c)
-    assert depth == schedule.depth == len(schedule.timesteps)
+    assert depth == len(schedule.timesteps)
     assert_schedule_valid(c, schedule)
 
 
@@ -158,7 +151,7 @@ def test_schedule_steps_match_longest_path_dp_per_gate():
         assert [step_of[i] for i in range(len(c.gates))] == levels
         assert depth == max(levels, default=0)
         assert_schedule_valid(c, schedule)
-        nots += c.count(GateKind.NOT)
+        nots += kind_counts(c)[GateKind.NOT]
         fanouts += sum(
             1
             for step in schedule.timesteps
@@ -199,7 +192,7 @@ def test_scheduled_execution_matches_sequential(c, data):
     states = data.draw(
         st.lists(bitstates_st(c.width), min_size=1, max_size=16)
     )
-    batch = BatchState.from_states(states)
+    batch = pack_states(states)
     assert simulate_batch(reordered, batch) == simulate_batch(c, batch)
 
 
@@ -214,25 +207,20 @@ def test_report_counts_are_consistent(c):
     assert report.quantum_cost == (
         report.not_count + report.cnot_count + 5 * report.toffoli_count
     )
-    assert report.logical_depth == report.schedule.depth
+    assert report.logical_depth == len(report.schedule.timesteps)
 
 
-@given(
-    circuits_st(max_width=6, max_gates=30),
-    st.integers(0, 9),
-    st.integers(0, 9),
-    st.integers(0, 9),
-)
-def test_report_counts_and_cost_agree_with_per_gate_sums(c, not_w, cnot_w, toffoli_w):
+@given(circuits_st(max_width=6, max_gates=30))
+def test_report_counts_and_cost_agree_with_per_gate_sums(c):
     report = analyze(c)
-    assert report.not_count == c.count(GateKind.NOT)
-    assert report.cnot_count == c.count(GateKind.CNOT)
-    assert report.toffoli_count == c.count(GateKind.TOFFOLI)
-    model = CostModel(not_cost=not_w, cnot_cost=cnot_w, toffoli_cost=toffoli_w)
-    weight = {"not": not_w, "cnot": cnot_w, "toffoli": toffoli_w}
-    expected = sum(weight[g.kind.value] for g in c.gates)
-    assert quantum_cost(c, model) == expected
-    assert analyze(c, model).quantum_cost == expected
+    counts = kind_counts(c)
+    assert report.not_count == counts[GateKind.NOT]
+    assert report.cnot_count == counts[GateKind.CNOT]
+    assert report.toffoli_count == counts[GateKind.TOFFOLI]
+    # the paper's cost: NOT = CNOT = 1, Toffoli = 5
+    assert report.quantum_cost == (
+        counts[GateKind.NOT] + counts[GateKind.CNOT] + 5 * counts[GateKind.TOFFOLI]
+    )
 
 
 # ---------------------------------------------------------------- comparison
@@ -290,17 +278,6 @@ def test_compare_qc_reduction_ratio():
     assert "(12 - 10) / 12" in text
 
 
-def test_compare_custom_literature_can_agree():
-    row = dataclasses.replace(HNG_PUBLISHED, quantum_cost=13)
-    ppkn, _ = build_ppkn()
-    hng, _ = build_hng_reference()
-    table = compare_report(
-        (("HNG-reference", analyze(hng)),), literature=(row,)
-    )
-    assert table.discrepancies == ()
-    assert table.qc_reduction is None
-
-
 def test_compare_reduction_ignores_computed_row_order():
     ppkn_first, hng_first = _computed_pair()
     table = compare_report((hng_first, ppkn_first))
@@ -316,21 +293,13 @@ def test_compare_reduction_of_an_unpublished_row_under_any_name():
     hng, _ = build_hng_reference()
     table = compare_report(
         (("HNG-reference", analyze(hng)), ("RCA1", analyze(rca)), ("Other", analyze(hng))),
-        literature=(TSG_PUBLISHED, HNG_PUBLISHED),
     )
     reduction = table.qc_reduction
     assert (reduction.name, reduction.qc) == ("RCA1", 10)
-    assert (reduction.baseline, reduction.baseline_qc) == ("TSG", 14)
+    assert (reduction.baseline, reduction.baseline_qc) == ("HNG", 12)
     assert [d.name for d in table.discrepancies] == ["HNG-reference"]
-
-
-def test_compare_reduction_needs_a_published_quantum_cost():
-    first = dataclasses.replace(HNG_PUBLISHED, quantum_cost=None)
-    table = compare_report(_computed_pair(), literature=(first, TSG_PUBLISHED))
-    assert table.qc_reduction is None
-    # the unpublished figure is not checked either
-    assert table.discrepancies == ()
-    assert compare_report(_computed_pair(), literature=()).qc_reduction is None
+    # with no unpublished row there is nothing to measure
+    assert compare_report((("HNG-reference", analyze(hng)),)).qc_reduction is None
 
 
 def test_published_rows_frozen_values():

@@ -87,7 +87,7 @@ def test_serialize_orders_toffoli_controls():
     from revadder import new_circuit
 
     c = new_circuit(3, tuple(named(f"q{i}") for i in range(3)))
-    c = c.append(toffoli(2, 0, 1))
+    c = c.extend((toffoli(2, 0, 1),))
     assert "toffoli 0 2 1" in serialize_netlist(c)
 
 
