@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +28,8 @@ from revadder import (
     toffoli,
 )
 
-from revadder.simulate import transpose
+import revadder
+from revadder.simulate import _SLAB_BITS, _slab_reader, _tile_masks, transpose
 
 from helpers import (
     bits_to_int,
@@ -136,6 +141,94 @@ def test_transpose_of_no_rows_is_all_zero():
 def test_transpose_width_one():
     assert transpose([1, 0, 1, 1], 1) == [0b1101]
     assert transpose([0b1101], 4) == [1, 0, 1, 1]
+
+
+@st.composite
+def tall_matrices_st(draw):
+    """Up to 140 rows (three chunks of 64) and 300 columns of random bits."""
+    width = draw(st.integers(1, 300))
+    n_rows = draw(st.integers(0, 140))
+    rng = draw(st.randoms(use_true_random=False))
+    return [rng.getrandbits(width) for _ in range(n_rows)], width
+
+
+@settings(max_examples=40, deadline=None)
+@given(tall_matrices_st(), st.data())
+def test_transpose_of_tall_matrices_matches_reference(matrix, data):
+    rows, width = matrix
+    columns = data.draw(st.lists(st.integers(0, width - 1), max_size=width))
+    full = transpose_reference(rows, width)
+    assert transpose(rows, width) == full
+    assert transpose(rows, width, columns) == [full[i] for i in columns]
+
+
+#: columns per slab of the widest (64 x 64-bit) tiles
+SLAB = _SLAB_BITS // 64
+
+
+def _column_choices(rng, width):
+    """No selection, a sorted subset, an unsorted subset with repeats, none."""
+    return [
+        None,
+        sorted(rng.sample(range(width), (width + 1) // 2)),
+        [rng.randrange(width) for _ in range(width // 3 + 2)],
+        [],
+    ]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
+@pytest.mark.parametrize("width", [1, 63, 64, 65, SLAB - 1, SLAB, SLAB + 1, 10000])
+def test_transpose_at_chunk_and_slab_edges(n_rows, width):
+    rng = random.Random(f"{n_rows}x{width}")
+    rows = [rng.getrandbits(width) for _ in range(n_rows)]
+    full = transpose_reference(rows, width)
+    for columns in _column_choices(rng, width):
+        assert transpose(rows, width, columns) == transpose_reference(rows, width, columns)
+    assert transpose(rows, width) == full
+
+
+@pytest.mark.parametrize("n_rows", [1, 65])
+@pytest.mark.parametrize("width", [7, 8, 9, 8 * SLAB - 1, 8 * SLAB, 8 * SLAB + 1])
+def test_transpose_at_narrow_tile_and_slab_edges(n_rows, width):
+    # a chunk of at most 8 rows uses 8 x 8-bit tiles, 8 * SLAB columns a slab
+    rng = random.Random(f"{n_rows}x{width}")
+    rows = [rng.getrandbits(width) for _ in range(n_rows)]
+    full = transpose_reference(rows, width)
+    assert transpose(rows, width) == full
+    columns = _column_choices(rng, width)[2]
+    assert transpose(rows, width, columns) == [full[i] for i in columns]
+
+
+def test_import_builds_no_tile_plan():
+    # the package's `simulate` attribute is the function, not the module
+    probe = (
+        "import sys, revadder.cli; s = sys.modules['revadder.simulate']; "
+        "print(s._tile_masks.cache_info().currsize, s._slab_reader.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
+
+
+def test_tile_plan_cache_stays_bounded():
+    # each width once, the tile side (8, 16, 32, 64 rows) taking turns
+    for width in range(1, 9001):
+        transpose([0] * (8 << width % 4), width)
+    assert _tile_masks.cache_info().currsize <= 4
+    # per tile side, one reader per power of two up to a full slab
+    assert _slab_reader.cache_info().currsize <= 40
+
+
+def test_from_ints_names_the_first_bad_lane():
+    with pytest.raises(StructuralError) as exc:
+        BatchState.from_ints([1, 7, -3, 8], 3)
+    assert str(exc.value) == "lane 2 value -3 exceeds width 3"
+    with pytest.raises(StructuralError) as exc:
+        BatchState.from_ints([1, 5, 8, 2, -1], 3)
+    assert str(exc.value) == "lane 2 value 8 exceeds width 3"
 
 
 def test_batch_rejects_empty():
