@@ -119,13 +119,12 @@ def circuits_st(draw, min_width: int = 1, max_width: int = 10, max_gates: int = 
     return new_circuit(width, roles).extend(gates)
 
 
-def transpose_reference(rows, width: int, columns=None) -> list[int]:
+def transpose_reference(rows, width: int) -> list[int]:
     """Bit-matrix transpose one bit at a time: bit j of result[i] is bit i of rows[j].
 
     Each row is read as binary text, least significant bit first, and every
     set bit is ORed into its column on its own: an independent reference
-    for `revadder.simulate.transpose`. With `columns`, only those entries
-    are returned, in that order.
+    for `revadder.simulate.transpose`.
     """
     result = [0] * width
     for j, row in enumerate(rows):
@@ -133,7 +132,7 @@ def transpose_reference(rows, width: int, columns=None) -> list[int]:
         for i, digit in enumerate(format(row, f"0{width}b")[::-1]):
             if digit == "1":
                 result[i] |= bit
-    return result if columns is None else [result[i] for i in columns]
+    return result
 
 
 def reference_mismatches(circuit, layout, rows) -> tuple:

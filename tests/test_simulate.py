@@ -183,8 +183,8 @@ def test_transpose_at_chunk_and_slab_edges(n_rows, width):
     rows = [rng.getrandbits(width) for _ in range(n_rows)]
     full = transpose_reference(rows, width)
     for columns in _column_choices(rng, width):
-        assert transpose(rows, width, columns) == transpose_reference(rows, width, columns)
-    assert transpose(rows, width) == full
+        want = full if columns is None else [full[i] for i in columns]
+        assert transpose(rows, width, columns) == want
 
 
 @pytest.mark.parametrize("n_rows", [1, 65])
