@@ -9,6 +9,7 @@ from revadder import (
     build_ppkn,
     build_rca,
     canonical_layout,
+    cnot,
     named,
     parse_netlist,
     serialize_netlist,
@@ -106,6 +107,8 @@ def test_serialize_rejects_noncanonical_layout():
         ("", 1, "missing lines"),
         ("# only a comment\n", 1, "missing lines"),
         ("# intro\ncnot 0 1\n", 2, "must come first"),
+        # a gate before `lines` is out of order before it is malformed
+        ("cnot 1\nlines 2\n", 1, "must come first"),
         ("lines 2\nlines 2\n", 2, "duplicate lines"),
         ("lines 0\n", 1, "width must be >= 1"),
         ("lines x\n", 1, "expected a width"),
@@ -146,6 +149,19 @@ def test_parse_errors(text, line, fragment):
     assert exc.value.line == line
     assert fragment in exc.value.message
     assert str(exc.value).startswith(f"line {line}:")
+
+
+@pytest.mark.parametrize(
+    "text, gate",
+    [
+        ("lines 3\ntoffoli 0 1 2#c\n", toffoli(0, 1, 2)),
+        ("lines 2\ncnot 0 1 # note\n", cnot(0, 1)),
+    ],
+    ids=["glued", "spaced"],
+)
+def test_parse_strips_a_comment_after_a_gate(text, gate):
+    circuit, _ = parse_netlist(text)
+    assert circuit.gates == (gate,)
 
 
 def test_width_cap_admits_exactly_max_lines():
