@@ -41,7 +41,8 @@ class ParseError(CircuitError):
         self.message = message
 
 
-_GATE_KEYWORDS = {kind.value: kind for kind in GateKind}
+#: gate keyword -> (kind, tokens in its statement)
+_GATE_STATEMENTS = {kind.value: (kind, kind.n_controls + 2) for kind in GateKind}
 
 
 def _int_token(token: str, line_no: int, what: str) -> int:
@@ -63,39 +64,53 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     names: dict[int, Optional[str]] = {}  # declared lines; None for an ancilla
     outputs: dict[int, tuple[str, int]] = {}
     gates: list[Gate] = []
+    append = gates.append
     layout_bits: Optional[int] = None
     layout_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
-        keyword, args = tokens[0], tokens[1:]
+        keyword = tokens[0]
 
-        if width is None and keyword != "lines":
-            raise ParseError("the lines declaration must come first", line_no)
-
-        kind = _GATE_KEYWORDS.get(keyword)
-        if kind is not None:
-            if len(args) != kind.n_controls + 1:
+        if width is None:
+            if keyword != "lines":
+                raise ParseError("the lines declaration must come first", line_no)
+        elif (statement := _GATE_STATEMENTS.get(keyword)) is not None:
+            kind, size = statement
+            if len(tokens) != size:
                 raise ParseError(
                     f"usage: {keyword} {'<c> ' * kind.n_controls}<t>".replace("  ", " "),
                     line_no,
                 )
             try:
-                indices = [int(t, 10) for t in args]
+                if size == 4:
+                    c, d, t = int(tokens[1], 10), int(tokens[2], 10), int(tokens[3], 10)
+                    if 0 <= c < width and 0 <= d < width and 0 <= t < width:
+                        append(Gate(kind, (c, d), t))
+                        continue
+                elif size == 3:
+                    c, t = int(tokens[1], 10), int(tokens[2], 10)
+                    if 0 <= c < width and 0 <= t < width:
+                        append(Gate(kind, (c,), t))
+                        continue
+                else:
+                    t = int(tokens[1], 10)
+                    if 0 <= t < width:
+                        append(Gate(kind, (), t))
+                        continue
             except ValueError:
-                indices = None
-            if indices is None or min(indices) < 0 or max(indices) >= width:
-                # Token by token, the first bad one names the error.
-                for t in args:
-                    _check_index(_int_token(t, line_no, "a line index"), width, line_no)
-            try:
-                gates.append(Gate(kind, tuple(indices[:-1]), indices[-1]))
+                pass
             except StructuralError as exc:
                 raise ParseError(str(exc), line_no) from None
+            # Token by token, the first bad one names the error.
+            for token in tokens[1:]:
+                _check_index(_int_token(token, line_no, "a line index"), width, line_no)
+            continue
 
-        elif keyword == "lines":
+        args = tokens[1:]
+        if keyword == "lines":
             if width is not None:
                 raise ParseError("duplicate lines declaration", line_no)
             if len(args) != 1:
