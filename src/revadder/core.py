@@ -131,15 +131,16 @@ def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return Gate(GateKind.TOFFOLI, (control_a, control_b), target)
 
 
-#: netlist keywords, indexed by control count
-_KEYWORDS = tuple(kind.value for kind in sorted(GateKind, key=lambda k: k.n_controls))
+#: netlist statement formats, indexed by control count
+_STATEMENTS = tuple(
+    kind.value + " {}" * (kind.n_controls + 1)
+    for kind in sorted(GateKind, key=lambda k: k.n_controls)
+)
 
 
 def describe_gate(gate: Gate) -> str:
     """Netlist statement of a gate: kind then lines, controls before target."""
-    controls = gate.controls
-    lines = " ".join(map(str, controls + (gate.target,)))
-    return f"{_KEYWORDS[len(controls)]} {lines}"
+    return _STATEMENTS[len(gate.controls)].format(*gate.controls, gate.target)
 
 
 def check_label(label: Optional[str]) -> Optional[str]:

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from .core import Circuit
 
-#: gate names, indexed by control count
-_QASM_NAMES = ("x", "cx", "ccx")
+#: gate statements, indexed by control count
+_QASM_STATEMENTS = ("x q[{}];", "cx q[{}], q[{}];", "ccx q[{}], q[{}], q[{}];")
 
 
 def export_qasm(circuit: Circuit) -> str:
@@ -15,7 +15,5 @@ def export_qasm(circuit: Circuit) -> str:
         f"qubit[{circuit.width}] q;",
     ]
     for gate in circuit.gates:
-        controls = gate.controls
-        args = "], q[".join(map(str, controls + (gate.target,)))
-        lines.append(f"{_QASM_NAMES[len(controls)]} q[{args}];")
+        lines.append(_QASM_STATEMENTS[len(gate.controls)].format(*gate.controls, gate.target))
     return "\n".join(lines) + "\n"
