@@ -259,16 +259,17 @@ def _check_lanes(
     """Run the operand words through the circuit and compare with the ripple oracle.
 
     A pass compares words only. A failure reads only its bad lanes, in
-    one transpose of a stack of words: for each quantity that differs a
-    bad-lane flag and the quantity's output lines, then the operands.
-    Each distinct counterexample is listed once.
+    one transpose of a stack of words: for each quantity that differs the
+    diffs `expected ^ got` of its output lines, from its lowest to its
+    highest differing line, then the operands. Each distinct
+    counterexample is listed once.
     """
     n = layout.n_bits
     operand_words = [cin_word, *a_words, *b_words]
     in_words = [0] * circuit.width
     for line, word in zip((layout.cin_line,) + layout.a_lines + layout.b_lines, operand_words):
         in_words[line] = word
-    out = simulate_batch(circuit, BatchState(tuple(in_words), lanes))
+    out = simulate_batch(circuit, BatchState(tuple(in_words), lanes)).words
     sum_words, cout_word = _ripple_words(a_words, b_words, cin_word)
     checks = (  # in _QUANTITIES order
         (layout.a_lines, a_words),
@@ -276,21 +277,20 @@ def _check_lanes(
         ((layout.cout_line,), [cout_word]),
         (layout.sum_lines, sum_words),
     )
-    # per differing quantity a bad-lane flag and its output lines, then the
-    # operands b, a, cin on top: a stacked lane value sorts by (cin, a, b),
-    # and a row drawn twice gives the same value twice. A field is (flag bit,
-    # value offset, value mask, rank, quantity).
+    # per differing quantity its diff lines, then the operands b, a, cin on
+    # top: a stacked lane value sorts by (cin, a, b), and a row drawn twice
+    # gives the same value twice. A field is (value offset, diff mask,
+    # lowest line, rank, quantity).
     stack, fields, bad_lanes = [], [], 0
     for rank, (lines, expected_words) in enumerate(checks):
-        got = [out.words[line] for line in lines]
-        bad = 0
-        for expected_word, word in zip(expected_words, got):
-            bad |= expected_word ^ word
-        if bad:
-            shift, mask = len(stack), (1 << len(lines)) - 1
-            fields.append((1 << shift, shift + 1, mask, rank, _QUANTITIES[rank]))
-            stack += [bad, *got]
-            bad_lanes |= bad
+        diffs = [word ^ out[line] for line, word in zip(lines, expected_words)]
+        differing = [i for i, diff in enumerate(diffs) if diff]
+        if differing:
+            lo, hi = differing[0], differing[-1] + 1
+            fields.append((len(stack), (1 << (hi - lo)) - 1, lo, rank, _QUANTITIES[rank]))
+            stack += diffs[lo:hi]
+            for i in differing:
+                bad_lanes |= diffs[i]
     if not bad_lanes:
         return VerificationReport(lanes, ())
     key_shift = len(stack)
@@ -302,8 +302,9 @@ def _check_lanes(
     for value in sorted(set(bad_values)):
         key = value >> key_shift
         a, b, cin = (key >> n) & m, key & m, key >> (2 * n)
-        for flag, offset, mask, rank, quantity in fields:
-            if value & flag:
+        for offset, mask, lo, rank, quantity in fields:
+            diff = (value >> offset) & mask
+            if diff:
                 if rank == 0:
                     expected = a
                 elif rank == 1:
@@ -312,7 +313,7 @@ def _check_lanes(
                     expected = (a + b + cin) >> n
                 else:
                     expected = (a + b + cin) & m
-                actual = (value >> offset) & mask
+                actual = expected ^ (diff << lo)
                 # Mismatch._make without its length check: skips the generated __new__
                 append(tuple.__new__(Mismatch, (a, b, cin, quantity, expected, actual)))
     return VerificationReport(lanes, tuple(mismatches))
