@@ -30,7 +30,7 @@ from .adders import (
 )
 from .core import MAX_LINES, CapacityError, Circuit
 from .netlist import ParseError, parse_netlist, serialize_netlist
-from .simulate import simulate
+from .simulate import BatchState, simulate_batch
 
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -95,8 +95,8 @@ def simulate_cmd(ctx: click.Context, file, bitstring: str) -> None:
         raise click.UsageError(
             f"--input must be {circuit.width} characters of 0/1, got {bitstring!r}"
         )
-    state = tuple(int(c) for c in bitstring)
-    out = simulate(circuit, state)
+    # one lane: each line's word is that line's bit
+    out = simulate_batch(circuit, BatchState(map(int, bitstring), 1)).words
     click.echo(f"input  {bitstring}")
     click.echo(f"output {''.join(str(b) for b in out)}")
     for i, role in enumerate(circuit.roles):

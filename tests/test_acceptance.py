@@ -11,6 +11,8 @@ import random
 import time
 from itertools import product
 
+from click.testing import CliRunner
+
 from revadder import (
     analyze,
     build_hng_reference,
@@ -29,6 +31,7 @@ from revadder import (
     verify_full_adder,
     verify_rca,
 )
+from revadder.cli import main
 
 from helpers import (
     assert_schedule_valid,
@@ -251,11 +254,37 @@ def test_parse_at_1024_bits(capsys):
     started = time.perf_counter()
     parsed = parse_netlist(document)
     elapsed = time.perf_counter() - started
-    ok = parsed == (circuit, layout) and elapsed < 0.15
+    ok = parsed == (circuit, layout) and elapsed < 0.1
     announce(
         capsys,
         "1024-bit cascade: its document (3073 circuit lines, 6144 gates) "
-        "parsed in under 0.15 s, equal to the built circuit",
+        "parsed in under 0.1 s, equal to the built circuit",
+        ok,
+        f"{elapsed * 1000:.0f} ms",
+    )
+
+
+def test_simulate_command_at_4000_bits(capsys):
+    runner = CliRunner()
+    document = runner.invoke(main, ["build", "rca", "--bits", "4000"]).output
+    # Cin = 1 and A = 2^n - 1: the carry runs through every block, so every
+    # sum bit is 0 and Cout is 1; A and B are preserved
+    bits = "1" + "100" * 4000
+    started = time.perf_counter()
+    result = runner.invoke(main, ["simulate", "-", "--input", bits], input=document)
+    elapsed = time.perf_counter() - started
+    lines = result.output.splitlines()
+    ok = (
+        result.exit_code == 0
+        and lines[1] == "output 0" + "100" * 3999 + "101"
+        and sum(line.startswith("Sum") and line.endswith(" = 0") for line in lines) == 4000
+        and lines[-1] == "Cout = 1"
+        and elapsed < 0.5
+    )
+    announce(
+        capsys,
+        "4000-bit cascade: the simulate command on a 12001-bit full-carry "
+        "input in under 0.5 s, every sum bit 0 and Cout 1",
         ok,
         f"{elapsed * 1000:.0f} ms",
     )
