@@ -278,5 +278,5 @@ def is_bijection(table: PermutationTable) -> bool:
     size = len(table.entries)
     if size == 0 or size & (size - 1):
         raise StructuralError(f"table length {size} is not a power of two")
-    seen = set(table.entries)
-    return len(seen) == size and all(0 <= e < size for e in table.entries)
+    entries = table.entries
+    return min(entries) >= 0 and max(entries) < size and len(set(entries)) == size

@@ -343,6 +343,15 @@ def test_is_bijection_detects_duplicates():
     assert not is_bijection(PermutationTable(1, (0, 0)))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(0, 2), (-1, 0), (0, 1, 2, 4), (3, 2, -1, 0)],
+    ids=["above", "negative", "one-above", "one-negative"],
+)
+def test_is_bijection_rejects_entries_out_of_range(entries):
+    assert not is_bijection(PermutationTable(len(entries).bit_length() - 1, entries))
+
+
 def test_is_bijection_rejects_partial_table():
     with pytest.raises(StructuralError):
         is_bijection(PermutationTable(2, (0, 1, 2)))
