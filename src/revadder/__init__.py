@@ -5,7 +5,6 @@ from .core import (
     Circuit,
     CircuitError,
     Gate,
-    GateKind,
     StructuralError,
     ancilla,
     cnot,
@@ -18,7 +17,6 @@ from .simulate import (
     BatchState,
     PermutationTable,
     all_basis_states,
-    apply_gate,
     is_bijection,
     permutation_of,
     simulate,
@@ -83,7 +81,6 @@ __all__ = [
     "DEFAULT_LITERATURE",
     "EXHAUSTIVE_LINE_LIMIT",
     "Gate",
-    "GateKind",
     "HNG_PUBLISHED",
     "Mismatch",
     "ParseError",
@@ -94,7 +91,6 @@ __all__ = [
     "all_basis_states",
     "analyze",
     "ancilla",
-    "apply_gate",
     "build_hng_reference",
     "build_ppkn",
     "build_rca",

@@ -7,9 +7,7 @@ are immutable: builders return new values, so they are safe to share.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import FrozenInstanceError, dataclass, field
-from enum import Enum
+from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -30,25 +28,8 @@ class CapacityError(CircuitError):
     """A request beyond a fixed capacity cap: lines, vectors or lane bits."""
 
 
-class GateKind(Enum):
-    """An NCT gate kind; its value is the netlist keyword.
-
-    `n_controls` is a plain member attribute, so reading it costs no
-    lookup keyed by the member.
-    """
-
-    n_controls: int
-
-    NOT = "not", 0
-    CNOT = "cnot", 1
-    TOFFOLI = "toffoli", 2
-
-    # The value stays the keyword alone, which only __new__ can arrange.
-    def __new__(cls, value: str, n_controls: int) -> GateKind:
-        member = object.__new__(cls)
-        member._value_ = value
-        member.n_controls = n_controls
-        return member
+#: netlist keyword of a gate, indexed by its control count
+GATE_KEYWORDS = ("not", "cnot", "toffoli")
 
 
 class _Frozen:
@@ -84,34 +65,36 @@ class _Frozen:
 class Gate(_Frozen):
     """One NCT primitive: flip `target` iff every control line is 1.
 
+    Its kind is its control count: 0, 1 or 2 for NOT, CNOT or Toffoli.
     Controls are stored sorted, so gates that differ only in control order
     compare (and hash) equal. All line indices within a gate must be
     pairwise distinct.
     """
 
-    __slots__ = ("kind", "controls", "target")
-    kind: GateKind
+    __slots__ = ("controls", "target")
     controls: tuple[int, ...]
     target: int
 
-    def __init__(self, kind: GateKind, controls: tuple[int, ...], target: int) -> None:
+    def __init__(self, controls: tuple[int, ...], target: int) -> None:
         # Only a pair can be out of order: other lengths are sorted or
         # rejected below.
         if type(controls) is not tuple or len(controls) > 1 and controls[0] > controls[1]:
             controls = tuple(sorted(controls))
         n = len(controls)
-        if n != kind.n_controls:
-            raise StructuralError(
-                f"{kind.value} takes {kind.n_controls} controls, got {n}"
-            )
+        if n > 2:
+            raise StructuralError(f"a gate takes at most 2 controls, got {n}")
         # sorted controls: the first is the least, equal ones are neighbours
         if target < 0 or n and controls[0] < 0:
             raise StructuralError(f"negative line index in {controls + (target,)}")
         if target in controls or n == 2 and controls[0] == controls[1]:
             raise StructuralError(f"duplicate line index in {controls + (target,)}")
-        _set_kind(self, kind)
         _set_controls(self, controls)
         _set_target(self, target)
+
+    @property
+    def kind(self) -> str:
+        """The netlist keyword: "not", "cnot" or "toffoli"."""
+        return GATE_KEYWORDS[len(self.controls)]
 
     @property
     def max_line(self) -> int:
@@ -120,21 +103,20 @@ class Gate(_Frozen):
         return max(controls[-1], self.target) if controls else self.target
 
 
-_set_kind, _set_controls, _set_target = (getattr(Gate, f).__set__ for f in Gate.__slots__)
+_set_controls, _set_target = (getattr(Gate, f).__set__ for f in Gate.__slots__)
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(GateKind.CNOT, (control,), target)
+    return Gate((control,), target)
 
 
 def toffoli(control_a: int, control_b: int, target: int) -> Gate:
-    return Gate(GateKind.TOFFOLI, (control_a, control_b), target)
+    return Gate((control_a, control_b), target)
 
 
 #: netlist statement formats, indexed by control count
 _STATEMENTS = tuple(
-    kind.value + " {}" * (kind.n_controls + 1)
-    for kind in sorted(GateKind, key=lambda k: k.n_controls)
+    keyword + " {}" * (n + 1) for n, keyword in enumerate(GATE_KEYWORDS)
 )
 
 
@@ -183,49 +165,55 @@ def ancilla(output: Optional[str] = None) -> LineRole:
     return LineRole(None, output)
 
 
-@dataclass(frozen=True)
-class Circuit:
+def _check_gates(gates: tuple[Gate, ...], width: int) -> None:
+    for gate in gates:
+        controls = gate.controls
+        if gate.target >= width or controls and controls[-1] >= width:
+            raise StructuralError(
+                f"gate {gate.kind} uses line {gate.max_line}, width is {width}"
+            )
+
+
+class Circuit(_Frozen):
     """An ordered NCT gate list over `width` lines.
 
     Gate order is program order; semantics is sequential left-to-right
-    application. Equality compares width, gates, and roles (including
-    output labels).
+    application. Equality compares width, roles (including output labels)
+    and gates.
     """
 
+    __slots__ = ("width", "roles", "gates")
     width: int
     roles: tuple[LineRole, ...]
-    gates: tuple[Gate, ...] = field(default=())
+    gates: tuple[Gate, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roles", tuple(self.roles))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.width < 1:
-            raise StructuralError(f"width must be >= 1, got {self.width}")
-        if len(self.roles) != self.width:
-            raise StructuralError(
-                f"{len(self.roles)} roles for width {self.width}"
-            )
-        self._check_gates(self.gates)
-
-    def _check_gates(self, gates: tuple[Gate, ...]) -> None:
-        width = self.width
-        for gate in gates:
-            controls = gate.controls
-            if gate.target >= width or controls and controls[-1] >= width:
-                raise StructuralError(
-                    f"gate {gate.kind.value} uses line {gate.max_line}, "
-                    f"width is {width}"
-                )
+    def __init__(
+        self, width: int, roles: Iterable[LineRole], gates: Iterable[Gate] = ()
+    ) -> None:
+        roles, gates = tuple(roles), tuple(gates)
+        if width < 1:
+            raise StructuralError(f"width must be >= 1, got {width}")
+        if len(roles) != width:
+            raise StructuralError(f"{len(roles)} roles for width {width}")
+        _check_gates(gates, width)
+        _set_width(self, width)
+        _set_roles(self, roles)
+        _set_gates(self, gates)
 
     def extend(self, gates: Iterable[Gate]) -> Circuit:
         """Return a new circuit with `gates` appended, validating only those gates."""
         added = tuple(gates)
-        self._check_gates(added)
-        extended = copy.copy(self)
-        object.__setattr__(extended, "gates", self.gates + added)
+        _check_gates(added, self.width)
+        extended = object.__new__(Circuit)
+        _set_width(extended, self.width)
+        _set_roles(extended, self.roles)
+        _set_gates(extended, self.gates + added)
         return extended
+
+
+_set_width, _set_roles, _set_gates = (getattr(Circuit, f).__set__ for f in Circuit.__slots__)
 
 
 def new_circuit(width: int, roles: Iterable[LineRole]) -> Circuit:
     """An empty circuit over `width` lines with the given roles."""
-    return Circuit(width, tuple(roles))
+    return Circuit(width, roles)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .core import Circuit, describe_gate
@@ -104,9 +103,9 @@ _FIGURES = (
 )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One gate's figures. Figures the source does not give stay None."""
+class ComparisonRow(NamedTuple):
+    """One gate's figures, fields in column order. Figures the source does
+    not give stay None."""
 
     name: str
     provenance: str  # "computed" | "literature"
@@ -224,11 +223,6 @@ COMPARISON_COLUMNS = (
 )
 
 
-def _cells(row: ComparisonRow) -> list[object]:
-    """A row in column order; a figure the source does not give is None."""
-    return [row.name, row.provenance] + [getattr(row, f) for f in _FIGURES]
-
-
 def _csv(rows: Sequence[Sequence[object]]) -> str:
     """CSV text, one record per line; None is an empty cell."""
     buf = io.StringIO()
@@ -238,7 +232,7 @@ def _csv(rows: Sequence[Sequence[object]]) -> str:
 
 def render_comparison_text(table: ComparisonTable) -> str:
     grid = [list(COMPARISON_COLUMNS)] + [
-        ["-" if v is None else str(v) for v in _cells(row)] for row in table.rows
+        ["-" if v is None else str(v) for v in row] for row in table.rows
     ]
     widths = [max(len(line[i]) for line in grid) for i in range(len(grid[0]))]
     lines = [
@@ -256,7 +250,7 @@ def render_comparison_text(table: ComparisonTable) -> str:
 
 
 def render_comparison_csv(table: ComparisonTable) -> str:
-    return _csv([COMPARISON_COLUMNS] + [_cells(row) for row in table.rows])
+    return _csv([COMPARISON_COLUMNS, *table.rows])
 
 
 def render_metrics_text(report: MetricsReport, circuit: Circuit) -> str:

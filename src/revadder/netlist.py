@@ -8,21 +8,23 @@
     toffoli 0 1 3
     output 0 Sum       # optional output labels
 
-`#` starts a comment; blank lines are ignored. Undeclared lines default
-to named inputs q<idx>. Serialization is canonical (declarations in
-ascending line order, Toffoli controls ascending), so equal circuits
-produce byte-identical documents and every document round-trips.
+Lines end at LF, CR LF or CR only, as in text mode, so `#` starts a
+comment that runs to the end of its line. Blank lines are ignored.
+Undeclared lines default to named inputs q<idx>. Serialization is
+canonical (declarations in ascending line order, Toffoli controls
+ascending), so equal circuits produce byte-identical documents and every
+document round-trips.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from .core import (
+    GATE_KEYWORDS,
     MAX_LINES,
     Circuit,
     CircuitError,
     Gate,
-    GateKind,
     LineRole,
     StructuralError,
     check_label,
@@ -41,8 +43,8 @@ class ParseError(CircuitError):
         self.message = message
 
 
-#: gate keyword -> (kind, tokens in its statement)
-_GATE_STATEMENTS = {kind.value: (kind, kind.n_controls + 2) for kind in GateKind}
+#: gate keyword -> tokens in its statement
+_GATE_STATEMENTS = {keyword: n + 2 for n, keyword in enumerate(GATE_KEYWORDS)}
 
 
 def _int_token(token: str, line_no: int, what: str) -> int:
@@ -68,7 +70,11 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     layout_bits: Optional[int] = None
     layout_line = 0
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Lines end only at \n, \r\n and \r, as in text mode. str.splitlines also
+    # ends them at \x0c, \x85, U+2028 and more, even inside a comment.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
@@ -77,28 +83,24 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
         if width is None:
             if keyword != "lines":
                 raise ParseError("the lines declaration must come first", line_no)
-        elif (statement := _GATE_STATEMENTS.get(keyword)) is not None:
-            kind, size = statement
+        elif (size := _GATE_STATEMENTS.get(keyword)) is not None:
             if len(tokens) != size:
-                raise ParseError(
-                    f"usage: {keyword} {'<c> ' * kind.n_controls}<t>".replace("  ", " "),
-                    line_no,
-                )
+                raise ParseError(f"usage: {keyword} {'<c> ' * (size - 2)}<t>", line_no)
             try:
                 if size == 4:
                     c, d, t = int(tokens[1], 10), int(tokens[2], 10), int(tokens[3], 10)
                     if 0 <= c < width and 0 <= d < width and 0 <= t < width:
-                        append(Gate(kind, (c, d), t))
+                        append(Gate((c, d), t))
                         continue
                 elif size == 3:
                     c, t = int(tokens[1], 10), int(tokens[2], 10)
                     if 0 <= c < width and 0 <= t < width:
-                        append(Gate(kind, (c,), t))
+                        append(Gate((c,), t))
                         continue
                 else:
                     t = int(tokens[1], 10)
                     if 0 <= t < width:
-                        append(Gate(kind, (), t))
+                        append(Gate((), t))
                         continue
             except ValueError:
                 pass

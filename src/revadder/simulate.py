@@ -18,7 +18,7 @@ from functools import cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .core import CapacityError, Circuit, Gate, StructuralError, _Frozen
+from .core import CapacityError, Circuit, StructuralError, _Frozen
 
 BitState = tuple[int, ...]
 
@@ -26,33 +26,21 @@ BitState = tuple[int, ...]
 EXHAUSTIVE_LINE_LIMIT = 20
 
 
-def apply_gate(gate: Gate, state: Sequence[int]) -> BitState:
-    """XOR the target bit with the AND of the control bits.
-
-    The empty AND (a NOT gate) is 1, so the target flips unconditionally.
-    Every other bit is unchanged.
-    """
-    state = tuple(state)
-    if gate.max_line >= len(state):
-        raise StructuralError(
-            f"gate on line {gate.max_line} applied to {len(state)}-bit state"
-        )
-    if all(state[c] for c in gate.controls):
-        flipped = state[gate.target] ^ 1
-        return state[: gate.target] + (flipped,) + state[gate.target + 1 :]
-    return state
-
-
 def simulate(circuit: Circuit, state: Sequence[int]) -> BitState:
-    """Run the circuit on one basis state, gates in program order."""
-    state = tuple(state)
-    if len(state) != circuit.width:
+    """Run the circuit on one basis state, gates in program order.
+
+    A gate XORs its target bit with the AND of its control bits; the empty
+    AND (a NOT gate) is 1, so the target flips unconditionally.
+    """
+    bits = list(state)
+    if len(bits) != circuit.width:
         raise StructuralError(
-            f"{len(state)}-bit state for width-{circuit.width} circuit"
+            f"{len(bits)}-bit state for width-{circuit.width} circuit"
         )
     for gate in circuit.gates:
-        state = apply_gate(gate, state)
-    return state
+        if all(bits[c] for c in gate.controls):
+            bits[gate.target] ^= 1
+    return tuple(bits)
 
 
 #: bits that one delta-swap pass transposes: 64 tiles of 64 x 64 bits,

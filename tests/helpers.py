@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from revadder import (
     BatchState,
     Gate,
-    GateKind,
     Mismatch,
     ancilla,
     named,
@@ -20,7 +19,7 @@ from revadder import (
 
 
 def not_gate(target: int) -> Gate:
-    return Gate(GateKind.NOT, (), target)
+    return Gate((), target)
 
 
 def bits_to_int(bits) -> int:
@@ -56,27 +55,23 @@ def lane_states(batch: BatchState) -> list[tuple[int, ...]]:
     return [int_to_bits(v, batch.width) for v in batch.lanes_as_ints()]
 
 
-def kind_counts(circuit) -> dict[GateKind, int]:
+def kind_counts(circuit) -> dict[str, int]:
     """Gates of each kind, counted one gate at a time by its `kind`."""
-    counts = dict.fromkeys(GateKind, 0)
+    counts = {"not": 0, "cnot": 0, "toffoli": 0}
     for gate in circuit.gates:
         counts[gate.kind] += 1
     return counts
 
 
-def available_kinds(width: int) -> list[GateKind]:
-    kinds = [GateKind.NOT]
-    if width >= 2:
-        kinds.append(GateKind.CNOT)
-    if width >= 3:
-        kinds.append(GateKind.TOFFOLI)
-    return kinds
+def control_counts(width: int) -> list[int]:
+    """The control counts a gate can have on `width` lines: NOT, CNOT, Toffoli."""
+    return list(range(min(width, 3)))
 
 
 def random_gate(rng: random.Random, width: int) -> Gate:
-    kind = rng.choice(available_kinds(width))
-    lines = rng.sample(range(width), kind.n_controls + 1)
-    return Gate(kind, tuple(lines[:-1]), lines[-1])
+    n = rng.choice(control_counts(width))
+    lines = rng.sample(range(width), n + 1)
+    return Gate(tuple(lines[:-1]), lines[-1])
 
 
 def random_circuit(rng: random.Random, width: int, n_gates: int):
@@ -101,13 +96,10 @@ roles_st = st.one_of(
 
 
 def gates_st(width: int):
-    return st.sampled_from(available_kinds(width)).flatmap(
-        lambda kind: st.lists(
-            st.integers(0, width - 1),
-            min_size=kind.n_controls + 1,
-            max_size=kind.n_controls + 1,
-            unique=True,
-        ).map(lambda lines: Gate(kind, tuple(lines[:-1]), lines[-1]))
+    return st.sampled_from(control_counts(width)).flatmap(
+        lambda n: st.lists(
+            st.integers(0, width - 1), min_size=n + 1, max_size=n + 1, unique=True
+        ).map(lambda lines: Gate(tuple(lines[:-1]), lines[-1]))
     )
 
 

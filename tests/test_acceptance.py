@@ -6,7 +6,6 @@ are hard-coded here, never recomputed from the modules under test, and
 the depth formula is cross-checked by test-side longest-path code that
 does not share the scheduler's implementation.
 """
-import dataclasses
 import random
 import time
 from itertools import product
@@ -14,6 +13,7 @@ from itertools import product
 from click.testing import CliRunner
 
 from revadder import (
+    Circuit,
     analyze,
     build_hng_reference,
     build_ppkn,
@@ -309,7 +309,7 @@ def test_failing_random_verify_at_32_bits(capsys):
     circuit, layout = build_rca(32)
     first = 6 * 16  # six gates per block
     mutants = [
-        dataclasses.replace(circuit, gates=circuit.gates[:i] + circuit.gates[i + 1 :])
+        Circuit(circuit.width, circuit.roles, circuit.gates[:i] + circuit.gates[i + 1 :])
         for i in range(first, first + 6)
     ]
     started = time.perf_counter()
@@ -360,9 +360,7 @@ def test_property_suites(capsys):
             shuffled = list(step)
             rng.shuffle(shuffled)
             order.extend(shuffled)
-        reordered = dataclasses.replace(
-            c, gates=tuple(c.gates[i] for i in order)
-        )
+        reordered = Circuit(c.width, c.roles, tuple(c.gates[i] for i in order))
         states = [
             tuple(rng.randint(0, 1) for _ in range(c.width)) for _ in range(100)
         ]
@@ -397,11 +395,11 @@ def test_property_suites(capsys):
     circuit, layout = build_ppkn()
     b_one_rows = {(a, 1, cin) for a in (0, 1) for cin in (0, 1)}
     dropped_carry = verify_full_adder(
-        dataclasses.replace(circuit, gates=circuit.gates[:4] + circuit.gates[5:]),
+        Circuit(circuit.width, circuit.roles, circuit.gates[:4] + circuit.gates[5:]),
         layout,
     )
     dropped_restore = verify_full_adder(
-        dataclasses.replace(circuit, gates=circuit.gates[:3] + circuit.gates[4:]),
+        Circuit(circuit.width, circuit.roles, circuit.gates[:3] + circuit.gates[4:]),
         layout,
     )
     mutations = (

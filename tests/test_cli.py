@@ -332,10 +332,10 @@ def test_cli_start_up_loads_metrics_and_qasm_only_on_use():
 def test_public_surface_is_what_the_cli_and_benchmark_use():
     assert sorted(revadder.__all__) == [
         "AdderLayout", "BatchState", "CapacityError", "Circuit", "CircuitError",
-        "DEFAULT_LITERATURE", "EXHAUSTIVE_LINE_LIMIT", "Gate", "GateKind",
+        "DEFAULT_LITERATURE", "EXHAUSTIVE_LINE_LIMIT", "Gate",
         "HNG_PUBLISHED", "Mismatch", "ParseError", "PermutationTable",
         "StructuralError", "TSG_PUBLISHED", "VerificationReport",
-        "all_basis_states", "analyze", "ancilla", "apply_gate",
+        "all_basis_states", "analyze", "ancilla",
         "build_hng_reference", "build_ppkn", "build_rca", "canonical_layout",
         "cnot", "compare_report", "export_qasm", "is_bijection", "logical_depth",
         "named", "new_circuit", "oracle_add", "parse_netlist", "permutation_of",

@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 
 from revadder import (
     BatchState,
+    Circuit,
     Gate,
-    GateKind,
     StructuralError,
     analyze,
     ancilla,
@@ -24,6 +24,7 @@ from revadder import (
     toffoli,
     verify_full_adder,
 )
+from revadder.core import describe_gate
 
 from helpers import LABEL_RE, bitstates_st, circuits_st, gates_st, identifiers, not_gate
 
@@ -58,7 +59,7 @@ def test_append_returns_new_circuit():
     grown = base.extend((cnot(2, 0),))
     assert base.gates == ()
     assert len(grown.gates) == 1
-    assert grown.gates[0] == Gate(GateKind.CNOT, (2,), 0)
+    assert grown.gates[0] == Gate((2,), 0)
 
 
 def test_extend_preserves_order():
@@ -79,12 +80,10 @@ def test_appending_one_gate_at_a_time_is_linear():
 
 
 def test_gate_arity_enforced():
-    with pytest.raises(StructuralError):
-        Gate(GateKind.CNOT, (), 0)
-    with pytest.raises(StructuralError):
-        Gate(GateKind.NOT, (1,), 0)
-    with pytest.raises(StructuralError):
-        Gate(GateKind.TOFFOLI, (0,), 2)
+    # NCT gates have at most two controls, in whatever order they arrive
+    for controls in ((0, 1, 2), (2, 1, 0), [0, 1, 2], (0, 1, 2, 3)):
+        with pytest.raises(StructuralError, match="at most 2 controls"):
+            Gate(controls, 5)
 
 
 def test_gate_lines_distinct():
@@ -98,9 +97,9 @@ def test_gate_lines_distinct():
 
 def test_gate_lines_nonnegative():
     with pytest.raises(StructuralError):
-        Gate(GateKind.NOT, (), -1)
+        Gate((), -1)
     with pytest.raises(StructuralError):
-        Gate(GateKind.CNOT, (-2,), 0)
+        Gate((-2,), 0)
 
 
 BAD_BATCH = (cnot(1, 0), toffoli(0, 1, 2), not_gate(1))
@@ -122,6 +121,18 @@ def test_append_rejects_out_of_range_gate(add):
     assert c.width == 2 and c.gates == (cnot(0, 1),)
 
 
+@pytest.mark.parametrize(
+    "gate, kind", [(not_gate(2), "not"), (cnot(0, 2), "cnot"), (toffoli(2, 0, 1), "toffoli")]
+)
+def test_out_of_range_gate_is_named_by_its_kind(gate, kind):
+    roles = (named("a"), named("b"))
+    message = f"^gate {kind} uses line 2, width is 2$"
+    with pytest.raises(StructuralError, match=message):
+        Circuit(2, roles, (gate,))
+    with pytest.raises(StructuralError, match=message):
+        new_circuit(2, roles).extend((gate,))
+
+
 def test_toffoli_control_order_normalized():
     assert toffoli(1, 0, 3) == toffoli(0, 1, 3)
     assert hash(toffoli(1, 0, 3)) == hash(toffoli(0, 1, 3))
@@ -129,11 +140,9 @@ def test_toffoli_control_order_normalized():
 
 
 def test_gate_normalizes_controls_from_any_sequence():
-    unsorted = Gate(GateKind.TOFFOLI, (3, 1), 0)
-    listed = Gate(GateKind.TOFFOLI, [1, 3], 0)
-    expected = (
-        "Gate(kind=<GateKind.TOFFOLI: 'toffoli'>, controls=(1, 3), target=0)"
-    )
+    unsorted = Gate((3, 1), 0)
+    listed = Gate([1, 3], 0)
+    expected = "Gate(controls=(1, 3), target=0)"
     assert repr(unsorted) == repr(listed) == expected
     assert unsorted == listed
     assert hash(unsorted) == hash(listed)
@@ -141,13 +150,15 @@ def test_gate_normalizes_controls_from_any_sequence():
 
 
 def test_gate_kind_control_counts_survive_copies():
-    assert GateKind("cnot").n_controls == 1
-    expected = {GateKind.NOT: 0, GateKind.CNOT: 1, GateKind.TOFFOLI: 2}
-    for kind, n in expected.items():
-        assert kind.n_controls == n
-        for again in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind)):
-            assert again is kind
-            assert again.n_controls == n
+    # a gate's kind is its control count, named by its netlist keyword
+    expected = {(): "not", (2,): "cnot", (2, 0): "toffoli"}
+    for controls, kind in expected.items():
+        gate = Gate(controls, 1)
+        assert gate.kind == kind and describe_gate(gate).split()[0] == kind
+        for again in (pickle.loads(pickle.dumps(gate)), copy.deepcopy(gate)):
+            assert again.kind == kind
+    with pytest.raises(AttributeError):
+        cnot(0, 1).kind = "not"
 
 
 def test_role_labels_validated():
@@ -204,7 +215,7 @@ def test_layout_and_report_repr():
         "ancilla_lines=(3, 6))"
     )
     circuit, layout = build_ppkn()
-    broken = dataclasses.replace(circuit, gates=circuit.gates[:-1])
+    broken = Circuit(circuit.width, circuit.roles, circuit.gates[:-1])
     assert repr(verify_full_adder(broken, layout)) == (
         "VerificationReport(cases=8, mismatches=("
         "Mismatch(a=1, b=0, cin=0, quantity='sum', expected=1, actual=0), "
@@ -222,14 +233,18 @@ def test_layout_and_report_repr():
 
 #: one value of each slot-based class, with its fields in declaration order
 VALUES = [
-    (toffoli(3, 1, 0), (GateKind.TOFFOLI, (1, 3), 0)),
-    (not_gate(2), (GateKind.NOT, (), 2)),
+    (toffoli(3, 1, 0), ((1, 3), 0)),
+    (not_gate(2), ((), 2)),
     (named("A", "Sum"), ("A", "Sum")),
     (ancilla(), (None, None)),
     (canonical_layout(2), (2, 0, (1, 4), (2, 5), (3, 6))),
     (BatchState((1, 2), 2), ((1, 2), 2)),
+    (
+        Circuit(3, (named("a"), ancilla("b"), named("c")), (cnot(0, 1), not_gate(2))),
+        (3, (named("a"), ancilla("b"), named("c")), (cnot(0, 1), not_gate(2))),
+    ),
 ]
-VALUE_IDS = ["toffoli", "not", "named", "ancilla", "layout", "batch"]
+VALUE_IDS = ["toffoli", "not", "named", "ancilla", "layout", "batch", "circuit"]
 
 
 @pytest.mark.parametrize("value, fields", VALUES, ids=VALUE_IDS)

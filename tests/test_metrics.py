@@ -1,14 +1,13 @@
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revadder import (
+    Circuit,
     DEFAULT_LITERATURE,
     HNG_PUBLISHED,
     TSG_PUBLISHED,
-    GateKind,
     analyze,
     ancilla,
     build_hng_reference,
@@ -151,7 +150,7 @@ def test_schedule_steps_match_longest_path_dp_per_gate():
         assert [step_of[i] for i in range(len(c.gates))] == levels
         assert depth == max(levels, default=0)
         assert_schedule_valid(c, schedule)
-        nots += kind_counts(c)[GateKind.NOT]
+        nots += kind_counts(c)["not"]
         fanouts += sum(
             1
             for step in schedule.timesteps
@@ -186,9 +185,7 @@ def test_scheduled_execution_matches_sequential(c, data):
         shuffled = list(step)
         rng.shuffle(shuffled)
         order.extend(shuffled)
-    reordered = dataclasses.replace(
-        c, gates=tuple(c.gates[i] for i in order)
-    )
+    reordered = Circuit(c.width, c.roles, tuple(c.gates[i] for i in order))
     states = data.draw(
         st.lists(bitstates_st(c.width), min_size=1, max_size=16)
     )
@@ -214,12 +211,12 @@ def test_report_counts_are_consistent(c):
 def test_report_counts_and_cost_agree_with_per_gate_sums(c):
     report = analyze(c)
     counts = kind_counts(c)
-    assert report.not_count == counts[GateKind.NOT]
-    assert report.cnot_count == counts[GateKind.CNOT]
-    assert report.toffoli_count == counts[GateKind.TOFFOLI]
+    assert report.not_count == counts["not"]
+    assert report.cnot_count == counts["cnot"]
+    assert report.toffoli_count == counts["toffoli"]
     # the paper's cost: NOT = CNOT = 1, Toffoli = 5
     assert report.quantum_cost == (
-        counts[GateKind.NOT] + counts[GateKind.CNOT] + 5 * counts[GateKind.TOFFOLI]
+        counts["not"] + counts["cnot"] + 5 * counts["toffoli"]
     )
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +166,31 @@ def test_parse_strips_a_comment_after_a_gate(text, gate):
     assert circuit.gates == (gate,)
 
 
+#: characters that end a line for str.splitlines but not in text mode
+NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_comment_runs_to_the_end_of_its_line(char):
+    hidden = f"toffoli 0 1 3  # fix later{char}cnot 2 3\n"
+    assert parse_netlist(PPKN_DOC.replace("toffoli 0 1 3\n", hidden)) == parse_netlist(PPKN_DOC)
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(f"lines 2\n# x{char}y\nnot 5\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_parse_reads_crlf_and_cr_line_ends(newline):
+    assert parse_netlist(PPKN_DOC.replace("\n", newline)) == parse_netlist(PPKN_DOC)
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(newline.join(["lines 2", "# note", "", "not 5", ""]))
+    assert exc.value.line == 4
+    # a CR before a CR LF ends a line of its own
+    with pytest.raises(ParseError) as exc:
+        parse_netlist("lines 2\r\r\nnot 5\n")
+    assert exc.value.line == 3
+
+
 def test_width_cap_admits_exactly_max_lines():
     circuit, _ = parse_netlist(f"lines {MAX_LINES}\n")
     assert circuit.width == MAX_LINES
@@ -312,12 +339,14 @@ def _documents_st(draw):
 @given(_documents_st())
 def test_parse_fuzz_raises_only_parse_errors_and_round_trips(text):
     # every document declares its width, so a second `lines` must be refused
-    keywords = [raw.split("#", 1)[0].split()[:1] for raw in text.splitlines()]
+    # lines end where text mode ends them: LF, CR LF or CR
+    lines = re.split(r"\r\n?|\n", text)
+    keywords = [raw.split("#", 1)[0].split()[:1] for raw in lines]
     redeclared = keywords.count(["lines"]) > 1
     try:
         circuit, layout = parse_netlist(text)
     except ParseError as exc:
-        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        assert 1 <= exc.line <= len(lines)
         return
     assert not redeclared
     assert parse_netlist(serialize_netlist(circuit, layout)) == (circuit, layout)

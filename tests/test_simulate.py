@@ -15,7 +15,6 @@ from revadder import (
     PermutationTable,
     StructuralError,
     all_basis_states,
-    apply_gate,
     build_ppkn,
     cnot,
     is_bijection,
@@ -54,23 +53,27 @@ def test_int_to_bits_line_zero_is_lsb():
     assert int_to_bits(4, 3) == (0, 0, 1)
 
 
+def one_gate(gate, width):
+    return new_circuit(width, tuple(named(f"q{i}") for i in range(width))).extend((gate,))
+
+
 def test_apply_toffoli_fires_when_both_controls_set():
-    assert apply_gate(toffoli(0, 1, 3), (1, 1, 0, 0)) == (1, 1, 0, 1)
-    assert apply_gate(toffoli(0, 1, 3), (1, 0, 0, 0)) == (1, 0, 0, 0)
+    assert simulate(one_gate(toffoli(0, 1, 3), 4), (1, 1, 0, 0)) == (1, 1, 0, 1)
+    assert simulate(one_gate(toffoli(0, 1, 3), 4), (1, 0, 0, 0)) == (1, 0, 0, 0)
 
 
 def test_apply_cnot_on_zero_state_is_identity():
-    assert apply_gate(cnot(2, 0), (0, 0, 0, 0)) == (0, 0, 0, 0)
+    assert simulate(one_gate(cnot(2, 0), 4), (0, 0, 0, 0)) == (0, 0, 0, 0)
 
 
 def test_apply_not_always_flips():
-    assert apply_gate(not_gate(1), (0, 0, 0)) == (0, 1, 0)
-    assert apply_gate(not_gate(1), (0, 1, 0)) == (0, 0, 0)
+    assert simulate(one_gate(not_gate(1), 3), (0, 0, 0)) == (0, 1, 0)
+    assert simulate(one_gate(not_gate(1), 3), (0, 1, 0)) == (0, 0, 0)
 
 
 def test_apply_gate_out_of_range():
     with pytest.raises(StructuralError):
-        apply_gate(cnot(2, 0), (0, 0))
+        simulate(one_gate(cnot(2, 0), 3), (0, 0))
 
 
 def test_simulate_full_adder_example():
