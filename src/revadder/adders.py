@@ -168,9 +168,9 @@ def canonical_layout(n: int) -> AdderLayout:
     return AdderLayout(
         n_bits=n,
         cin_line=0,
-        a_lines=tuple(3 * i + 1 for i in range(n)),
-        b_lines=tuple(3 * i + 2 for i in range(n)),
-        ancilla_lines=tuple(3 * i + 3 for i in range(n)),
+        a_lines=tuple(range(1, 3 * n, 3)),
+        b_lines=tuple(range(2, 3 * n, 3)),
+        ancilla_lines=tuple(range(3, 3 * n + 1, 3)),
     )
 
 

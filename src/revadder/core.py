@@ -114,15 +114,15 @@ def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return Gate((control_a, control_b), target)
 
 
-#: netlist statement formats, indexed by control count
-_STATEMENTS = tuple(
-    keyword + " {}" * (n + 1) for n, keyword in enumerate(GATE_KEYWORDS)
+#: netlist statement templates, indexed by control count: "cnot %s %s"
+STATEMENT_TEMPLATES = tuple(
+    keyword + " %s" * (n + 1) for n, keyword in enumerate(GATE_KEYWORDS)
 )
 
 
 def describe_gate(gate: Gate) -> str:
     """Netlist statement of a gate: kind then lines, controls before target."""
-    return _STATEMENTS[len(gate.controls)].format(*gate.controls, gate.target)
+    return STATEMENT_TEMPLATES[len(gate.controls)] % (*gate.controls, gate.target)
 
 
 def check_label(label: Optional[str]) -> Optional[str]:
@@ -146,8 +146,13 @@ class LineRole(_Frozen):
     output: Optional[str]
 
     def __init__(self, name: Optional[str], output: Optional[str] = None) -> None:
-        _set_name(self, check_label(name))
-        _set_output(self, check_label(output))
+        # check_label's test, inline; it is called only to raise its error
+        if name is not None and not (name.isascii() and name.isidentifier()):
+            check_label(name)
+        if output is not None and not (output.isascii() and output.isidentifier()):
+            check_label(output)
+        _set_name(self, name)
+        _set_output(self, output)
 
     @property
     def is_ancilla(self) -> bool:

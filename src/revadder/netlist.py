@@ -22,13 +22,13 @@ from typing import Optional
 from .core import (
     GATE_KEYWORDS,
     MAX_LINES,
+    STATEMENT_TEMPLATES,
     Circuit,
     CircuitError,
     Gate,
     LineRole,
     StructuralError,
     check_label,
-    describe_gate,
     new_circuit,
 )
 from .adders import AdderLayout, canonical_layout
@@ -45,6 +45,8 @@ class ParseError(CircuitError):
 
 #: gate keyword -> tokens in its statement
 _GATE_STATEMENTS = {keyword: n + 2 for n, keyword in enumerate(GATE_KEYWORDS)}
+#: declaration keyword -> tokens in its statement; an ancilla may add a "0"
+_DECLARATIONS = {"input": 3, "ancilla": 2, "output": 3}
 
 
 def _int_token(token: str, line_no: int, what: str) -> int:
@@ -60,11 +62,38 @@ def _check_index(idx: int, width: int, line_no: int) -> int:
     return idx
 
 
+def _declaration_error(
+    keyword: str, args: list[str], width: int, names: dict, outputs: dict, line_no: int
+) -> None:
+    """Raise the error of a declaration that `parse_netlist` refused: the
+    first of its checks to fail, in the order they are listed here."""
+    if keyword == "input" and len(args) != 2:
+        raise ParseError("usage: input <line> <name>", line_no)
+    if keyword == "ancilla" and len(args) not in (1, 2):
+        raise ParseError("usage: ancilla <line> [0]", line_no)
+    if keyword == "output" and len(args) != 2:
+        raise ParseError("usage: output <line> <label>", line_no)
+    idx = _check_index(_int_token(args[0], line_no, "a line index"), width, line_no)
+    if keyword == "output":
+        if idx in outputs:
+            raise ParseError(f"line {idx} output already labeled", line_no)
+    elif idx in names:
+        raise ParseError(f"line {idx} role already declared", line_no)
+    elif keyword == "ancilla":
+        if len(args) == 2 and args[1] != "0":
+            raise ParseError(f"ancilla lines are constant 0, got initial {args[1]!r}", line_no)
+    else:
+        try:
+            check_label(args[1])
+        except StructuralError as exc:
+            raise ParseError(str(exc), line_no) from None
+
+
 def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     """Parse a document into a circuit and its optional adder layout."""
     width: Optional[int] = None
     names: dict[int, Optional[str]] = {}  # declared lines; None for an ancilla
-    outputs: dict[int, tuple[str, int]] = {}
+    outputs: dict[int, str] = {}
     gates: list[Gate] = []
     append = gates.append
     layout_bits: Optional[int] = None
@@ -74,8 +103,10 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     # ends them at \x0c, \x85, U+2028 and more, even inside a comment.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for line_no, tokens in enumerate(map(str.split, lines), start=1):
         if not tokens:
             continue
         keyword = tokens[0]
@@ -83,6 +114,14 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
         if width is None:
             if keyword != "lines":
                 raise ParseError("the lines declaration must come first", line_no)
+            if len(tokens) != 2:
+                raise ParseError("usage: lines <width>", line_no)
+            width = _int_token(tokens[1], line_no, "a width")
+            if width < 1:
+                raise ParseError(f"width must be >= 1, got {width}", line_no)
+            if width > MAX_LINES:
+                raise ParseError(f"width is capped at {MAX_LINES} lines, got {width}", line_no)
+
         elif (size := _GATE_STATEMENTS.get(keyword)) is not None:
             if len(tokens) != size:
                 raise ParseError(f"usage: {keyword} {'<c> ' * (size - 2)}<t>", line_no)
@@ -109,57 +148,33 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
             # Token by token, the first bad one names the error.
             for token in tokens[1:]:
                 _check_index(_int_token(token, line_no, "a line index"), width, line_no)
-            continue
 
-        args = tokens[1:]
-        if keyword == "lines":
-            if width is not None:
-                raise ParseError("duplicate lines declaration", line_no)
-            if len(args) != 1:
-                raise ParseError("usage: lines <width>", line_no)
-            width = _int_token(args[0], line_no, "a width")
-            if width < 1:
-                raise ParseError(f"width must be >= 1, got {width}", line_no)
-            if width > MAX_LINES:
-                raise ParseError(f"width is capped at {MAX_LINES} lines, got {width}", line_no)
+        elif (size := _DECLARATIONS.get(keyword)) is not None:
+            if len(tokens) == size or size == 2 and len(tokens) == 3 and tokens[2] == "0":
+                try:
+                    idx = int(tokens[1], 10)
+                except ValueError:
+                    idx = -1
+                if keyword == "output":
+                    if 0 <= idx < width and idx not in outputs:
+                        outputs[idx] = tokens[2]
+                        continue
+                elif 0 <= idx < width and idx not in names:
+                    name = None if size == 2 else tokens[2]
+                    if name is None or name.isascii() and name.isidentifier():
+                        names[idx] = name
+                        continue
+            _declaration_error(keyword, tokens[1:], width, names, outputs, line_no)
 
-        elif keyword == "input":
-            if len(args) != 2:
-                raise ParseError("usage: input <line> <name>", line_no)
-            idx = _check_index(_int_token(args[0], line_no, "a line index"), width, line_no)
-            if idx in names:
-                raise ParseError(f"line {idx} role already declared", line_no)
-            try:
-                names[idx] = check_label(args[1])
-            except StructuralError as exc:
-                raise ParseError(str(exc), line_no) from None
-
-        elif keyword == "ancilla":
-            if len(args) not in (1, 2):
-                raise ParseError("usage: ancilla <line> [0]", line_no)
-            idx = _check_index(_int_token(args[0], line_no, "a line index"), width, line_no)
-            if idx in names:
-                raise ParseError(f"line {idx} role already declared", line_no)
-            if len(args) == 2 and args[1] != "0":
-                raise ParseError(
-                    f"ancilla lines are constant 0, got initial {args[1]!r}", line_no
-                )
-            names[idx] = None
-
-        elif keyword == "output":
-            if len(args) != 2:
-                raise ParseError("usage: output <line> <label>", line_no)
-            idx = _check_index(_int_token(args[0], line_no, "a line index"), width, line_no)
-            if idx in outputs:
-                raise ParseError(f"line {idx} output already labeled", line_no)
-            outputs[idx] = (args[1], line_no)
+        elif keyword == "lines":
+            raise ParseError("duplicate lines declaration", line_no)
 
         elif keyword == "layout":
-            if len(args) != 2 or args[0] != "adder":
+            if len(tokens) != 3 or tokens[1] != "adder":
                 raise ParseError("usage: layout adder <n>", line_no)
             if layout_bits is not None:
                 raise ParseError("duplicate layout declaration", line_no)
-            layout_bits = _int_token(args[1], line_no, "a bit count")
+            layout_bits = _int_token(tokens[2], line_no, "a bit count")
             if layout_bits < 1:
                 raise ParseError(f"adder layout needs >= 1 bits, got {layout_bits}", line_no)
             layout_line = line_no
@@ -170,14 +185,21 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     if width is None:
         raise ParseError("missing lines declaration", 1)
 
-    # Names were checked where declared, so a bad label here is an output's.
-    full_roles = []
-    for i in range(width):
-        label, label_line = outputs.get(i, (None, 0))
-        try:
-            full_roles.append(LineRole(names[i] if i in names else f"q{i}", label))
-        except StructuralError as exc:
-            raise ParseError(str(exc), label_line) from None
+    try:
+        full_roles = [
+            LineRole(names[i] if i in names else f"q{i}", outputs.get(i))
+            for i in range(width)
+        ]
+    except StructuralError as exc:
+        # Names were checked where declared, so the bad label is an output's,
+        # the first by line index; report it at the statement that gave it.
+        bad_line = min(
+            (int(tokens[1], 10), line_no)
+            for line_no, tokens in enumerate(map(str.split, lines), start=1)
+            if tokens[:1] == ["output"]
+            and not (tokens[2].isascii() and tokens[2].isidentifier())
+        )[1]
+        raise ParseError(str(exc), bad_line) from None
 
     layout = None
     if layout_bits is not None:
@@ -206,18 +228,21 @@ def serialize_netlist(circuit: Circuit, layout: Optional[AdderLayout] = None) ->
     Only the canonical cascade layout is expressible in the format, so a
     non-canonical layout is rejected rather than silently dropped.
     """
+    roles = circuit.roles
     lines = [f"lines {circuit.width}"]
-    for i, role in enumerate(circuit.roles):
-        if role.is_ancilla:
-            lines.append(f"ancilla {i}")
-        else:
-            lines.append(f"input {i} {role.name}")
+    lines += [
+        f"ancilla {i}" if role.name is None else f"input {i} {role.name}"
+        for i, role in enumerate(roles)
+    ]
     if layout is not None:
         if layout != canonical_layout(layout.n_bits):
             raise StructuralError("only the canonical adder layout is serializable")
         lines.append(f"layout adder {layout.n_bits}")
-    lines.extend(map(describe_gate, circuit.gates))
-    for i, role in enumerate(circuit.roles):
-        if role.output is not None:
-            lines.append(f"output {i} {role.output}")
+    lines += [
+        STATEMENT_TEMPLATES[len(c := gate.controls)] % (*c, gate.target)
+        for gate in circuit.gates
+    ]
+    lines += [
+        f"output {i} {role.output}" for i, role in enumerate(roles) if role.output is not None
+    ]
     return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ from __future__ import annotations
 from .core import Circuit
 
 #: gate statements, indexed by control count
-_QASM_STATEMENTS = ("x q[{}];", "cx q[{}], q[{}];", "ccx q[{}], q[{}], q[{}];")
+_QASM_STATEMENTS = ("x q[%s];", "cx q[%s], q[%s];", "ccx q[%s], q[%s], q[%s];")
 
 
 def export_qasm(circuit: Circuit) -> str:
@@ -14,6 +14,8 @@ def export_qasm(circuit: Circuit) -> str:
         'include "stdgates.inc";',
         f"qubit[{circuit.width}] q;",
     ]
-    for gate in circuit.gates:
-        lines.append(_QASM_STATEMENTS[len(gate.controls)].format(*gate.controls, gate.target))
+    lines += [
+        _QASM_STATEMENTS[len(c := gate.controls)] % (*c, gate.target)
+        for gate in circuit.gates
+    ]
     return "\n".join(lines) + "\n"

@@ -5,19 +5,24 @@ from hypothesis import given, settings, strategies as st
 
 from revadder import (
     AdderLayout,
+    Gate,
     ParseError,
     StructuralError,
+    analyze,
     build_hng_reference,
     build_ppkn,
     build_rca,
     canonical_layout,
     cnot,
+    export_qasm,
     named,
+    new_circuit,
     parse_netlist,
     serialize_netlist,
     toffoli,
 )
-from revadder.core import MAX_LINES
+from revadder.core import MAX_LINES, describe_gate
+from revadder.metrics import render_metrics_text
 
 from helpers import circuits_st, identifiers
 
@@ -138,11 +143,26 @@ def test_serialize_rejects_noncanonical_layout():
         # bad input name at its own line.
         ("lines 2\noutput 0 bad-label\nhadamard 0\n", 3, "unknown keyword"),
         ("lines 2\ninput 0 9bad\ninput 0 a\n", 2, "label"),
+        # of two bad labels, the one on the lower line index is reported
+        ("lines 3\noutput 2 bad-2\noutput 1 bad-1\n", 3, "'bad-1'"),
         ("lines 4\nlayout adder 1\nlayout adder 1\n", 3, "duplicate layout"),
         ("lines 4\nlayout foo 1\n", 2, "usage: layout"),
         ("lines 4\nlayout adder 0\n", 2, ">= 1 bits"),
         ("lines 5\nlayout adder 1\n", 2, "needs 4 lines"),
         ("lines 4\ninput 3 d\nlayout adder 1\n", 3, "to be an ancilla"),
+        # every check a declaration statement can fail, in the order they run
+        ("lines 2\ninput x a\n", 2, "expected a line index, got 'x'"),
+        ("lines 2\noutput x S\n", 2, "expected a line index, got 'x'"),
+        ("lines 2\nancilla 7\n", 2, "line index 7 out of range for width 2"),
+        ("lines 2\noutput 9 S\n", 2, "line index 9 out of range for width 2"),
+        ("lines 2\ninput -1 a\n", 2, "line index -1 out of range for width 2"),
+        ("lines 2\ninput 2 a\n", 2, "line index 2 out of range for width 2"),
+        ("lines 2\noutput 2 S\n", 2, "line index 2 out of range for width 2"),
+        ("lines 2\nancilla\n", 2, "usage: ancilla <line> [0]"),
+        ("lines 2\nancilla 0 0 0\n", 2, "usage: ancilla <line> [0]"),
+        ("lines 2\noutput 0\n", 2, "usage: output <line> <label>"),
+        ("lines 2\ninput 0 a b\n", 2, "usage: input <line> <name>"),
+        ("lines 2\ninput 1 a\nancilla 1\n", 3, "line 1 role already declared"),
     ],
 )
 def test_parse_errors(text, line, fragment):
@@ -164,6 +184,37 @@ def test_parse_errors(text, line, fragment):
 def test_parse_strips_a_comment_after_a_gate(text, gate):
     circuit, _ = parse_netlist(text)
     assert circuit.gates == (gate,)
+
+
+@pytest.mark.parametrize("token", ["+1", "07", "1_0", "\u0663"])
+def test_declarations_read_an_index_as_int_does(token):
+    # int(token, 10) accepts a sign, leading zeros, an underscore and any
+    # Unicode decimal digit; each names the line it would name in Python
+    idx = int(token, 10)
+    circuit, _ = parse_netlist(f"lines 11\ninput {token} a\noutput {token} S\n")
+    assert circuit.roles[idx] == named("a", "S")
+    circuit, _ = parse_netlist(f"lines 11\nancilla {token}\n")
+    assert circuit.roles[idx].is_ancilla
+
+
+@pytest.mark.parametrize(
+    "gate, statement, qasm",
+    [
+        (Gate((), 3), "not 3", "x q[3];"),
+        (cnot(4, 0), "cnot 4 0", "cx q[4], q[0];"),
+        (toffoli(0, 1, 3), "toffoli 0 1 3", "ccx q[0], q[1], q[3];"),
+        (toffoli(4, 2, 0), "toffoli 2 4 0", "ccx q[2], q[4], q[0];"),
+        # an index is printed as str() prints it
+        (Gate((True,), 2), "cnot True 2", "cx q[True], q[2];"),
+    ],
+    ids=["not", "cnot", "toffoli", "toffoli-unordered", "bool-control"],
+)
+def test_gate_statement_text_is_pinned(gate, statement, qasm):
+    circuit = new_circuit(5, [named(f"q{i}") for i in range(5)]).extend([gate])
+    assert describe_gate(gate) == statement
+    assert serialize_netlist(circuit).splitlines()[6:] == [statement]
+    assert export_qasm(circuit).splitlines()[3:] == [qasm]
+    assert f"  step 1: g0 {statement}" in render_metrics_text(analyze(circuit), circuit)
 
 
 #: characters that end a line for str.splitlines but not in text mode
