@@ -17,6 +17,7 @@ from .core import (
     CapacityError,
     Circuit,
     Gate,
+    LineRole,
     StructuralError,
     _Frozen,
     ancilla,
@@ -86,9 +87,10 @@ class AdderLayout(_Frozen):
         if not (len(a_lines) == len(b_lines) == len(ancilla_lines) == n_bits):
             raise StructuralError("line lists must all have n_bits entries")
         lines = (cin_line,) + a_lines + b_lines + ancilla_lines
-        if any(i < 0 for i in lines) or len(set(lines)) != 3 * n_bits + 1:
+        if min(lines) < 0 or len(set(lines)) != 3 * n_bits + 1:
             raise StructuralError(f"adder lines must be distinct: {lines}")
-        for setter, value in zip(_SETTERS, (n_bits, cin_line, a_lines, b_lines, ancilla_lines)):
+        fields = (n_bits, cin_line, a_lines, b_lines, ancilla_lines)
+        for setter, value in zip(self._setters, fields):
             setter(self, value)
 
     @property
@@ -104,25 +106,22 @@ class AdderLayout(_Frozen):
         return 3 * self.n_bits + 1
 
 
-_SETTERS = tuple(getattr(AdderLayout, f).__set__ for f in AdderLayout.__slots__)
-
-
-def ppkn_gates(cin: int, a: int, b: int, anc: int) -> tuple[Gate, ...]:
-    """The 6-gate adder block on four arbitrary lines.
+def _ppkn_block(cin: int, a: int, b: int, anc: int) -> tuple[tuple, tuple]:
+    """The controls and the targets of the 6-gate adder block, gate by gate.
 
     Two fan-outs from b pre-combine the operands, one Toffoli writes
     (cin^b)(a^b) onto the ancilla, then two more fan-outs restore a and
     cancel the linear b term (leaving the majority carry), and a final
-    CNOT completes the sum on the carry-in line.
+    CNOT completes the sum on the carry-in line. The Toffoli's controls
+    come sorted, as `Gate` stores them.
     """
-    return (
-        cnot(b, cin),
-        cnot(b, a),
-        toffoli(cin, a, anc),
-        cnot(b, a),
-        cnot(b, anc),
-        cnot(a, cin),
-    )
+    controls = ((b,), (b,), (cin, a) if cin < a else (a, cin), (b,), (b,), (a,))
+    return controls, (cin, a, anc, a, anc, cin)
+
+
+def ppkn_gates(cin: int, a: int, b: int, anc: int) -> tuple[Gate, ...]:
+    """The 6-gate adder block on four arbitrary lines; see `_ppkn_block`."""
+    return tuple(map(Gate, *_ppkn_block(cin, a, b, anc)))
 
 
 def build_ppkn() -> tuple[Circuit, AdderLayout]:
@@ -165,28 +164,33 @@ def canonical_layout(n: int) -> AdderLayout:
     """The cascade's line order: Cin, then (A_i, B_i, ancilla_i) per block."""
     if n < 1:
         raise ValueError(f"adder needs >= 1 bits, got {n}")
-    return AdderLayout(
-        n_bits=n,
-        cin_line=0,
-        a_lines=tuple(range(1, 3 * n, 3)),
-        b_lines=tuple(range(2, 3 * n, 3)),
-        ancilla_lines=tuple(range(3, 3 * n + 1, 3)),
-    )
+    # distinct, non-negative lines by construction: AdderLayout's check holds
+    a_lines, b_lines = tuple(range(1, 3 * n, 3)), tuple(range(2, 3 * n, 3))
+    ancilla_lines = tuple(range(3, 3 * n + 1, 3))
+    return AdderLayout._many((n,), (0,), (a_lines,), (b_lines,), (ancilla_lines,))[0]
 
 
 def build_rca(n: int) -> tuple[Circuit, AdderLayout]:
     """n cascaded adder blocks; block i's ancilla is block i+1's carry-in."""
     layout = canonical_layout(n)
-    roles: list = [named("Cin", output="Sum0")]
-    for i in range(n):
-        roles.append(named(f"A{i}", output=f"A{i}"))
-        roles.append(named(f"B{i}", output=f"B{i}"))
-        label = f"Sum{i + 1}" if i < n - 1 else "Cout"
-        roles.append(ancilla(output=label))
+    # The layout's lines are distinct and its labels identifiers, so every
+    # gate and role is made in bulk, unchecked.
+    names, outputs = ["Cin"], ["Sum0"]
+    controls: list[tuple[int, ...]] = []
+    targets: list[int] = []
     carries = (layout.cin_line,) + layout.ancilla_lines[:-1]
     blocks = zip(carries, layout.a_lines, layout.b_lines, layout.ancilla_lines)
-    gates = [gate for lines in blocks for gate in ppkn_gates(*lines)]
-    return new_circuit(layout.width, roles).extend(gates), layout
+    for i, lines in enumerate(blocks):
+        a, b = f"A{i}", f"B{i}"
+        names += (a, b, None)
+        outputs += (a, b, f"Sum{i + 1}")
+        block_controls, block_targets = _ppkn_block(*lines)
+        controls += block_controls
+        targets += block_targets
+    outputs[-1] = "Cout"
+    roles = tuple(LineRole._many(names, outputs))
+    gates = tuple(Gate._many(controls, targets))
+    return Circuit._many((layout.width,), (roles,), (gates,))[0], layout
 
 
 #: a report's mismatch quantities, in the order it lists them for one row

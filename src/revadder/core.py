@@ -7,9 +7,11 @@ are immutable: builders return new values, so they are safe to share.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import FrozenInstanceError
+from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 #: The widest circuit a netlist may declare or `build rca` may emit. Both
 #: refuse more before allocating anything per line.
@@ -40,6 +42,20 @@ class _Frozen:
 
     def __init_subclass__(cls) -> None:
         cls._fields = attrgetter(*cls.__slots__)  # two or more fields: a tuple
+        cls._setters = tuple(getattr(cls, field).__set__ for field in cls.__slots__)
+
+    @classmethod
+    def _many(cls, *columns: Sequence) -> list:
+        """One instance per position of the columns, one column per field in
+        slot order, made without calling `__init__`.
+
+        Nothing is checked here. Only library code that has checked every
+        field of every instance, as `__init__` would, may call this.
+        """
+        instances = list(map(object.__new__, repeat(cls, len(columns[0]))))
+        for setter, column in zip(cls._setters, columns):
+            deque(map(setter, instances, column), 0)  # runs the setters, keeps nothing
+        return instances
 
     def __eq__(self, other: object) -> bool:
         same = other.__class__ is self.__class__
@@ -88,8 +104,9 @@ class Gate(_Frozen):
             raise StructuralError(f"negative line index in {controls + (target,)}")
         if target in controls or n == 2 and controls[0] == controls[1]:
             raise StructuralError(f"duplicate line index in {controls + (target,)}")
-        _set_controls(self, controls)
-        _set_target(self, target)
+        set_controls, set_target = self._setters
+        set_controls(self, controls)
+        set_target(self, target)
 
     @property
     def kind(self) -> str:
@@ -101,9 +118,6 @@ class Gate(_Frozen):
         """The largest line the gate touches: its target or its last control."""
         controls = self.controls
         return max(controls[-1], self.target) if controls else self.target
-
-
-_set_controls, _set_target = (getattr(Gate, f).__set__ for f in Gate.__slots__)
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -151,15 +165,13 @@ class LineRole(_Frozen):
             check_label(name)
         if output is not None and not (output.isascii() and output.isidentifier()):
             check_label(output)
-        _set_name(self, name)
-        _set_output(self, output)
+        set_name, set_output = self._setters
+        set_name(self, name)
+        set_output(self, output)
 
     @property
     def is_ancilla(self) -> bool:
         return self.name is None
-
-
-_set_name, _set_output = (getattr(LineRole, f).__set__ for f in LineRole.__slots__)
 
 
 def named(name: str, output: Optional[str] = None) -> LineRole:
@@ -201,22 +213,14 @@ class Circuit(_Frozen):
         if len(roles) != width:
             raise StructuralError(f"{len(roles)} roles for width {width}")
         _check_gates(gates, width)
-        _set_width(self, width)
-        _set_roles(self, roles)
-        _set_gates(self, gates)
+        for setter, value in zip(self._setters, (width, roles, gates)):
+            setter(self, value)
 
     def extend(self, gates: Iterable[Gate]) -> Circuit:
         """Return a new circuit with `gates` appended, validating only those gates."""
         added = tuple(gates)
         _check_gates(added, self.width)
-        extended = object.__new__(Circuit)
-        _set_width(extended, self.width)
-        _set_roles(extended, self.roles)
-        _set_gates(extended, self.gates + added)
-        return extended
-
-
-_set_width, _set_roles, _set_gates = (getattr(Circuit, f).__set__ for f in Circuit.__slots__)
+        return Circuit._many((self.width,), (self.roles,), (self.gates + added,))[0]
 
 
 def new_circuit(width: int, roles: Iterable[LineRole]) -> Circuit:

@@ -29,7 +29,6 @@ from .core import (
     LineRole,
     StructuralError,
     check_label,
-    new_circuit,
 )
 from .adders import AdderLayout, canonical_layout
 
@@ -94,8 +93,10 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     width: Optional[int] = None
     names: dict[int, Optional[str]] = {}  # declared lines; None for an ancilla
     outputs: dict[int, str] = {}
-    gates: list[Gate] = []
-    append = gates.append
+    bad_outputs: list[tuple[int, int]] = []  # (line index, line_no) of a bad label
+    controls: list[tuple[int, ...]] = []  # the gates, as two checked columns
+    targets: list[int] = []
+    add_controls, add_target = controls.append, targets.append
     layout_bits: Optional[int] = None
     layout_line = 0
 
@@ -121,33 +122,43 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
                 raise ParseError(f"width must be >= 1, got {width}", line_no)
             if width > MAX_LINES:
                 raise ParseError(f"width is capped at {MAX_LINES} lines, got {width}", line_no)
+            # one lookup converts an index's shortest spelling and checks its range
+            index = dict(zip(map(str, range(width)), range(width)))
 
         elif (size := _GATE_STATEMENTS.get(keyword)) is not None:
             if len(tokens) != size:
                 raise ParseError(f"usage: {keyword} {'<c> ' * (size - 2)}<t>", line_no)
             try:
                 if size == 4:
-                    c, d, t = int(tokens[1], 10), int(tokens[2], 10), int(tokens[3], 10)
-                    if 0 <= c < width and 0 <= d < width and 0 <= t < width:
-                        append(Gate((c, d), t))
+                    c, d, t = index[tokens[1]], index[tokens[2]], index[tokens[3]]
+                    if c != d != t != c:
+                        add_controls((c, d) if c < d else (d, c))
+                        add_target(t)
                         continue
                 elif size == 3:
-                    c, t = int(tokens[1], 10), int(tokens[2], 10)
-                    if 0 <= c < width and 0 <= t < width:
-                        append(Gate((c,), t))
+                    c, t = index[tokens[1]], index[tokens[2]]
+                    if c != t:
+                        add_controls((c,))
+                        add_target(t)
                         continue
                 else:
-                    t = int(tokens[1], 10)
-                    if 0 <= t < width:
-                        append(Gate((), t))
-                        continue
-            except ValueError:
+                    add_target(index[tokens[1]])
+                    add_controls(())
+                    continue
+            except KeyError:
                 pass
+            # Another spelling int reads, a bad token or a line used twice:
+            # token by token, the first bad one names the error, then Gate.
+            indices = [
+                _check_index(_int_token(token, line_no, "a line index"), width, line_no)
+                for token in tokens[1:]
+            ]
+            try:
+                gate = Gate(tuple(indices[:-1]), indices[-1])
             except StructuralError as exc:
                 raise ParseError(str(exc), line_no) from None
-            # Token by token, the first bad one names the error.
-            for token in tokens[1:]:
-                _check_index(_int_token(token, line_no, "a line index"), width, line_no)
+            add_controls(gate.controls)
+            add_target(gate.target)
 
         elif (size := _DECLARATIONS.get(keyword)) is not None:
             if len(tokens) == size or size == 2 and len(tokens) == 3 and tokens[2] == "0":
@@ -157,7 +168,9 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
                     idx = -1
                 if keyword == "output":
                     if 0 <= idx < width and idx not in outputs:
-                        outputs[idx] = tokens[2]
+                        label = outputs[idx] = tokens[2]
+                        if not (label.isascii() and label.isidentifier()):
+                            bad_outputs.append((idx, line_no))
                         continue
                 elif 0 <= idx < width and idx not in names:
                     name = None if size == 2 else tokens[2]
@@ -185,21 +198,19 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
     if width is None:
         raise ParseError("missing lines declaration", 1)
 
-    try:
-        full_roles = [
-            LineRole(names[i] if i in names else f"q{i}", outputs.get(i))
-            for i in range(width)
-        ]
-    except StructuralError as exc:
-        # Names were checked where declared, so the bad label is an output's,
-        # the first by line index; report it at the statement that gave it.
-        bad_line = min(
-            (int(tokens[1], 10), line_no)
-            for line_no, tokens in enumerate(map(str.split, lines), start=1)
-            if tokens[:1] == ["output"]
-            and not (tokens[2].isascii() and tokens[2].isidentifier())
-        )[1]
-        raise ParseError(str(exc), bad_line) from None
+    if bad_outputs:
+        # A bad output label is refused only once every statement is read,
+        # the first by line index, at the statement that gave it.
+        idx, line_no = min(bad_outputs)
+        try:
+            check_label(outputs[idx])
+        except StructuralError as exc:
+            raise ParseError(str(exc), line_no) from None
+
+    # Every field was checked where it was read, so roles and gates are made
+    # in bulk: names, then output labels, one column each.
+    name_column = [names[i] if i in names else f"q{i}" for i in range(width)]
+    full_roles = tuple(LineRole._many(name_column, list(map(outputs.get, range(width)))))
 
     layout = None
     if layout_bits is not None:
@@ -219,7 +230,8 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
                     layout_line,
                 )
 
-    return new_circuit(width, full_roles).extend(gates), layout
+    gates = tuple(Gate._many(controls, targets))
+    return Circuit._many((width,), (full_roles,), (gates,))[0], layout
 
 
 def serialize_netlist(circuit: Circuit, layout: Optional[AdderLayout] = None) -> str:

@@ -170,8 +170,8 @@ class BatchState(_Frozen):
                 raise StructuralError(
                     f"word for line {i} has bits outside {lanes} lanes"
                 )
-        _set_words(self, words)
-        _set_lanes(self, lanes)
+        for setter, value in zip(self._setters, (words, lanes)):
+            setter(self, value)
 
     @property
     def width(self) -> int:
@@ -190,9 +190,6 @@ class BatchState(_Frozen):
 
     def lanes_as_ints(self) -> list[int]:
         return transpose(self.words, self.lanes)
-
-
-_set_words, _set_lanes = (getattr(BatchState, f).__set__ for f in BatchState.__slots__)
 
 
 def all_basis_states(width: int) -> BatchState:

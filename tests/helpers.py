@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from revadder import (
     BatchState,
+    Circuit,
     Gate,
     Mismatch,
     ancilla,
@@ -20,6 +21,30 @@ from revadder import (
 
 def not_gate(target: int) -> Gate:
     return Gate((), target)
+
+
+def ppkn_reference(cin: int, a: int, b: int, anc: int) -> tuple[Gate, ...]:
+    """The 6-gate adder block, each gate made and checked by `Gate`."""
+    return (
+        Gate((b,), cin),
+        Gate((b,), a),
+        Gate((cin, a), anc),
+        Gate((b,), a),
+        Gate((b,), anc),
+        Gate((a,), cin),
+    )
+
+
+def rca_reference(n: int) -> Circuit:
+    """The n-bit cascade from the block formula, through the validating
+    constructors: block i is on lines (3i, 3i+1, 3i+2, 3i+3)."""
+    roles = [named("Cin", "Sum0")]
+    gates: list[Gate] = []
+    for i in range(n):
+        roles += [named(f"A{i}", f"A{i}"), named(f"B{i}", f"B{i}")]
+        roles.append(ancilla(f"Sum{i + 1}" if i < n - 1 else "Cout"))
+        gates += ppkn_reference(3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3)
+    return Circuit(3 * n + 1, roles, gates)
 
 
 def bits_to_int(bits) -> int:

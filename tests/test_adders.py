@@ -36,6 +36,8 @@ from helpers import (
     encode_input,
     int_to_bits,
     kind_counts,
+    ppkn_reference,
+    rca_reference,
     reference_mismatches,
     transpose_reference,
 )
@@ -215,6 +217,32 @@ def test_rca3_structure():
     assert c.roles[9].output == "Cout"
     for line in layout.ancilla_lines:
         assert c.roles[line].is_ancilla
+
+
+def test_rca_equals_the_block_formula_built_gate_by_gate():
+    for n in range(1, 41):
+        circuit, layout = build_rca(n)
+        assert circuit == rca_reference(n)
+        a_lines, b_lines = tuple(range(1, 3 * n, 3)), tuple(range(2, 3 * n, 3))
+        assert layout == AdderLayout(n, 0, a_lines, b_lines, tuple(range(3, 3 * n + 1, 3)))
+
+
+@pytest.mark.parametrize("lines", [(0, 1, 2, 3), (5, 1, 3, 6), (7, 2, 9, 4), (3, 2, 1, 0)])
+def test_ppkn_gates_equal_the_block_formula(lines):
+    assert ppkn_gates(*lines) == ppkn_reference(*lines)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ((0, 0, 1, 2), "duplicate line index in (0, 0, 2)"),
+        ((-1, 1, 2, 3), "negative line index in (2, -1)"),
+    ],
+)
+def test_ppkn_gates_rejects_bad_lines_as_gate_does(lines, message):
+    with pytest.raises(StructuralError) as exc:
+        ppkn_gates(*lines)
+    assert str(exc.value) == message
 
 
 def test_rca_rejects_zero_bits():

@@ -19,6 +19,7 @@ from revadder import (
     cnot,
     named,
     new_circuit,
+    parse_netlist,
     permutation_of,
     simulate,
     toffoli,
@@ -26,7 +27,15 @@ from revadder import (
 )
 from revadder.core import describe_gate
 
-from helpers import LABEL_RE, bitstates_st, circuits_st, gates_st, identifiers, not_gate
+from helpers import (
+    LABEL_RE,
+    bitstates_st,
+    circuits_st,
+    gates_st,
+    identifiers,
+    not_gate,
+    rca_reference,
+)
 
 FOUR_ROLES = (named("Cin"), named("A"), named("B"), ancilla())
 
@@ -243,8 +252,13 @@ VALUES = [
         Circuit(3, (named("a"), ancilla("b"), named("c")), (cnot(0, 1), not_gate(2))),
         (3, (named("a"), ancilla("b"), named("c")), (cnot(0, 1), not_gate(2))),
     ),
+    # made in bulk, without their validating constructors
+    (parse_netlist("lines 4\ntoffoli 3 1 0\n")[0].gates[0], ((1, 3), 0)),
+    (build_rca(3)[0], (10, rca_reference(3).roles, rca_reference(3).gates)),
 ]
-VALUE_IDS = ["toffoli", "not", "named", "ancilla", "layout", "batch", "circuit"]
+VALUE_IDS = [
+    "toffoli", "not", "named", "ancilla", "layout", "batch", "circuit", "parsed-gate", "rca",
+]
 
 
 @pytest.mark.parametrize("value, fields", VALUES, ids=VALUE_IDS)

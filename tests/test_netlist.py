@@ -128,6 +128,11 @@ def test_serialize_rejects_noncanonical_layout():
         ("lines 2\ninput 5 a\n", 2, "out of range"),
         ("lines 2\ncnot 0 2\n", 2, "out of range"),
         ("lines 2\ncnot 0 0\n", 2, "duplicate line"),
+        # a gate that repeats a line, in every position, as Gate names it
+        ("lines 4\ncnot 2 2\n", 2, "duplicate line index in (2, 2)"),
+        ("lines 4\ntoffoli 1 1 3\n", 2, "duplicate line index in (1, 1, 3)"),
+        ("lines 4\ntoffoli 3 1 3\n", 2, "duplicate line index in (1, 3, 3)"),
+        ("lines 4\ntoffoli 1 3 1\n", 2, "duplicate line index in (1, 3, 1)"),
         # The first bad token of a gate statement decides its error.
         ("lines 2\ncnot 5 x\n", 2, "out of range"),
         ("lines 2\ncnot x 5\n", 2, "expected a line index"),
@@ -195,6 +200,26 @@ def test_declarations_read_an_index_as_int_does(token):
     assert circuit.roles[idx] == named("a", "S")
     circuit, _ = parse_netlist(f"lines 11\nancilla {token}\n")
     assert circuit.roles[idx].is_ancilla
+
+
+@pytest.mark.parametrize("token", ["+1", "07", "1_0", "\u0663"])
+def test_gates_read_an_index_as_int_does(token):
+    # these spellings miss the parser's table of shortest spellings
+    idx = int(token, 10)
+    other = 4 if idx != 4 else 5
+    circuit, _ = parse_netlist(
+        f"lines 11\nnot {token}\ncnot {token} 0\ncnot 0 {token}\n"
+        f"toffoli {token} {other} 0\ntoffoli {other} {token} 0\ntoffoli 0 {other} {token}\n"
+    )
+    assert circuit.gates == (
+        Gate((), idx),
+        cnot(idx, 0),
+        cnot(0, idx),
+        toffoli(idx, other, 0),
+        toffoli(other, idx, 0),
+        toffoli(0, other, idx),
+    )
+    assert all(type(line) is int for gate in circuit.gates for line in gate.controls)
 
 
 @pytest.mark.parametrize(
