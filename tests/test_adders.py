@@ -482,14 +482,20 @@ def test_random_mode_lists_each_mismatch_once():
     assert report.mismatches == reference_mismatches(broken, layout, rows)
 
 
+@pytest.mark.parametrize("n", [31, 32, 33, 40])
 @pytest.mark.parametrize(
-    "index, quantities",
-    [(97, {"a", "sum"}), (187, {"a", "cout", "sum"}), (190, {"cout"})],
+    "block, gate, quantities",
+    [(16, 1, {"a", "sum"}), (-1, 1, {"a", "cout", "sum"}), (-1, 4, {"cout"})],
+    ids=["block16-gate1", "last-block-gate1", "last-block-gate4"],
 )
-def test_random_mismatches_match_scalar_reference_at_32_bits(index, quantities):
-    # at n=32 a failing lane's stacked value spans 100+ bits, where a field
-    # read at the wrong offset cannot hide as it can at n <= 5
-    n, trials = 32, 1000
+def test_random_mismatches_match_scalar_reference_at_the_key_chunk_edge(
+    block, gate, quantities, n
+):
+    # the 2n operand rows b, a fill 62, 64, 66 and 80 rows: one 64-row
+    # chunk, then two; and a failing lane's value spans 100+ bits, where a
+    # field read at the wrong offset cannot hide as it can at n <= 5
+    trials = 1000
+    index = 6 * (block % n) + gate
     broken, layout = _rca_without(n, index)
     report = verify_rca(broken, layout, "random", trials=trials, seed=index)
     assert {m.quantity for m in report.mismatches} == quantities
