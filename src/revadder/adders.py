@@ -10,7 +10,7 @@ addition (`oracle_add` and its word-wide form), never against a circuit.
 from __future__ import annotations
 
 import random
-from itertools import compress
+from itertools import compress, islice
 from typing import Literal, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -262,10 +262,13 @@ def _check_lanes(
 ) -> VerificationReport:
     """Run the operand words through the circuit and compare with the ripple oracle.
 
-    A pass compares words only. A failure reads only its bad lanes, in
-    one transpose of a stack of words: for each quantity that differs the
-    diffs `expected ^ got` of its output lines, from its lowest to its
-    highest differing line, then the operands. Each distinct
+    A pass compares words only. A failure reads only its bad lanes, those
+    with cin = 0 and then those with cin = 1, split word-wide from the
+    cin word: `transpose` picks these columns before it makes an int for
+    any lane. Two transposes read them: the 2n operand rows b, a give
+    each lane its (a, b) key, and a stack gives its diffs: for each
+    quantity that differs the diffs `expected ^ got` of its output lines,
+    from its lowest to its highest differing line. Each distinct
     counterexample is listed once.
     """
     n = layout.n_bits
@@ -281,10 +284,8 @@ def _check_lanes(
         ((layout.cout_line,), [cout_word]),
         (layout.sum_lines, sum_words),
     )
-    # per differing quantity its diff lines, then the operands b, a, cin on
-    # top: a stacked lane value sorts by (cin, a, b), and a row drawn twice
-    # gives the same value twice. A field is (value offset, diff mask,
-    # lowest line, rank, quantity).
+    # per differing quantity its diff lines; a field is (value offset, diff
+    # mask, lowest line, rank, quantity)
     stack, fields, bad_lanes = [], [], 0
     for rank, (lines, expected_words) in enumerate(checks):
         diffs = [word ^ out[line] for line, word in zip(lines, expected_words)]
@@ -297,29 +298,32 @@ def _check_lanes(
                 bad_lanes |= diffs[i]
     if not bad_lanes:
         return VerificationReport(lanes, ())
-    key_shift = len(stack)
-    stack += [*b_words, *a_words, cin_word]
+    # a key b | a << n sorts by (a, b), and a row drawn twice gives the
+    # same key and diffs twice
+    cin0 = _set_bit_positions(bad_lanes & ~cin_word)
+    columns = cin0 + _set_bit_positions(bad_lanes & cin_word)
+    rows = zip(transpose([*b_words, *a_words], lanes, columns), transpose(stack, lanes, columns))
     m = (1 << n) - 1
     mismatches = []
     append = mismatches.append
-    bad_values = transpose(stack, lanes, _set_bit_positions(bad_lanes))
-    for value in sorted(set(bad_values)):
-        key = value >> key_shift
-        a, b, cin = (key >> n) & m, key & m, key >> (2 * n)
-        for offset, mask, lo, rank, quantity in fields:
-            diff = (value >> offset) & mask
-            if diff:
-                if rank == 0:
-                    expected = a
-                elif rank == 1:
-                    expected = b
-                elif rank == 2:
-                    expected = (a + b + cin) >> n
-                else:
-                    expected = (a + b + cin) & m
-                actual = expected ^ (diff << lo)
-                # Mismatch._make without its length check: skips the generated __new__
-                append(tuple.__new__(Mismatch, (a, b, cin, quantity, expected, actual)))
+    for cin, by_key in enumerate((dict(islice(rows, len(cin0))), dict(rows))):
+        for key in sorted(by_key):
+            value = by_key[key]
+            a, b = key >> n, key & m
+            for offset, mask, lo, rank, quantity in fields:
+                diff = (value >> offset) & mask
+                if diff:
+                    if rank == 0:
+                        expected = a
+                    elif rank == 1:
+                        expected = b
+                    elif rank == 2:
+                        expected = (a + b + cin) >> n
+                    else:
+                        expected = (a + b + cin) & m
+                    actual = expected ^ (diff << lo)
+                    # Mismatch._make without its length check: skips the generated __new__
+                    append(tuple.__new__(Mismatch, (a, b, cin, quantity, expected, actual)))
     return VerificationReport(lanes, tuple(mismatches))
 
 

@@ -13,10 +13,11 @@ Integer encodings of states put line 0 in the least significant bit.
 """
 from __future__ import annotations
 
-import struct
+import sys
+from array import array
 from functools import cache
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import CapacityError, Circuit, StructuralError, _Frozen
 
@@ -46,8 +47,11 @@ def simulate(circuit: Circuit, state: Sequence[int]) -> BitState:
 #: bits that one delta-swap pass transposes: 64 tiles of 64 x 64 bits,
 #: 4,096 columns of a 64-row chunk
 _SLAB_BITS = 1 << 18
-#: struct and memoryview code of one tile row, by tile side
+#: memoryview and array code of one tile row, by tile side
 _WORD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+#: the swapped slabs are little-endian bytes; words read on a big-endian
+#: host are byte-swapped before use
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @cache
@@ -73,16 +77,6 @@ def _tile_masks(side: int) -> tuple[tuple[int, int], ...]:
     return tuple(rounds)
 
 
-@cache
-def _slab_reader(side: int, tiles: int) -> Callable[[bytes], tuple[int, ...]]:
-    """Read a transposed slab of `tiles` tiles as its column values, in order.
-
-    The format is little-endian whatever the host's byte order, as are the
-    bytes that `transpose` builds its integers from.
-    """
-    return struct.Struct(f"<{side * tiles}{_WORD_CODES[side]}").unpack
-
-
 def transpose(
     rows: Sequence[int], width: int, columns: Sequence[int] | None = None
 ) -> list[int]:
@@ -98,10 +92,11 @@ def transpose(
     64 bits a side (8, 16 or 32 for a short last chunk), and the tiles are
     laid one after another in one integer per slab of `_SLAB_BITS`, built
     with `int.from_bytes`. Six word-wide delta swaps (fewer for smaller
-    tiles) transpose every tile of a slab at once, and one C call reads
-    the slab's column values back. The cost is linear in the matrix size.
-    The column values of chunks past the first are shifted and ORed into
-    place.
+    tiles) transpose every tile of a slab at once. The swapped slabs are
+    joined into one buffer and read as tile-row words, word c being column
+    c's value, and ints are made only for the columns asked for. The cost
+    is linear in the matrix size. The column values of chunks past the
+    first are shifted and ORed into place.
 
     With `columns`, only those entries are returned, in that order:
     `result[k]` is the full result's entry `columns[k]`, each in
@@ -117,31 +112,28 @@ def transpose(
     for base in range(0, len(rows), 64):
         chunk = rows[base : base + 64]
         side = max(8, 1 << (len(chunk) - 1).bit_length())
-        masks, step = _tile_masks(side), side * side // 8
-        # slab sizes in tiles; the last is padded up to a power of two, so
-        # that at most 7 to 13 slab readers exist per tile side
-        per_slab = _SLAB_BITS // side**2
-        full, rest = divmod(-(-width // side), per_slab)
-        slabs = [per_slab] * full + ([1 << (rest - 1).bit_length()] if rest else [])
-        tiles = sum(slabs)
+        masks, tiles = _tile_masks(side), -(-width // side)
         size = side // 8 * tiles
         data = b"".join([row.to_bytes(size, "little") for row in chunk])
         data += bytes(size * (side - len(chunk)))
         # tile-major: word t of every row, then word t + 1, ...
         view = memoryview(memoryview(data).cast(_WORD_CODES[side], (side, tiles)).tobytes("F"))
-        values: list[int] = []
-        start = 0
-        for n in slabs:
-            x = int.from_bytes(view[step * start : step * (start + n)], "little")
+        swapped = []
+        for start in range(0, len(view), _SLAB_BITS // 8):
+            part = view[start : start + _SLAB_BITS // 8]
+            x = int.from_bytes(part, "little")
             for shift, mask in masks:
                 t = (x ^ (x >> shift)) & mask
                 x ^= t ^ (t << shift)
-            values += _slab_reader(side, n)(x.to_bytes(step * n, "little"))
-            start += n
+            swapped.append(x.to_bytes(len(part), "little"))
+        words = array(_WORD_CODES[side], b"".join(swapped))
+        if _BIG_ENDIAN:
+            words.byteswap()
         if pick is None:
+            values = words.tolist()
             del values[width:]
         else:
-            values = list(pick(values)[1:])
+            values = list(pick(words)[1:])
         if base:
             values = [low | high << base for low, high in zip(result, values)]
         result = values

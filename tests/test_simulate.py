@@ -28,7 +28,7 @@ from revadder import (
 )
 
 import revadder
-from revadder.simulate import _SLAB_BITS, _slab_reader, _tile_masks, transpose
+from revadder.simulate import _SLAB_BITS, _tile_masks, transpose
 
 from helpers import (
     bits_to_int,
@@ -206,14 +206,14 @@ def test_import_builds_no_tile_plan():
     # the package's `simulate` attribute is the function, not the module
     probe = (
         "import sys, revadder.cli; s = sys.modules['revadder.simulate']; "
-        "print(s._tile_masks.cache_info().currsize, s._slab_reader.cache_info().currsize)"
+        "print(s._tile_masks.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "0"]
+    assert result.stdout.split() == ["0"]
 
 
 def test_tile_plan_cache_stays_bounded():
@@ -221,8 +221,6 @@ def test_tile_plan_cache_stays_bounded():
     for width in range(1, 9001):
         transpose([0] * (8 << width % 4), width)
     assert _tile_masks.cache_info().currsize <= 4
-    # per tile side, one reader per power of two up to a full slab
-    assert _slab_reader.cache_info().currsize <= 40
 
 
 def test_from_ints_names_the_first_bad_lane():
