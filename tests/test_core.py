@@ -171,8 +171,10 @@ def test_gate_kind_control_counts_survive_copies():
 
 
 def test_role_labels_validated():
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=r"^not a valid line label: '9bad'$"):
         named("9bad")
+    with pytest.raises(StructuralError, match=r"^not a valid line label: '9bad'$"):
+        named("a", "9bad")
     with pytest.raises(StructuralError):
         named("a b")
     with pytest.raises(StructuralError):

@@ -168,6 +168,16 @@ def test_serialize_rejects_noncanonical_layout():
         ("lines 2\noutput 0\n", 2, "usage: output <line> <label>"),
         ("lines 2\ninput 0 a b\n", 2, "usage: input <line> <name>"),
         ("lines 2\ninput 1 a\nancilla 1\n", 3, "line 1 role already declared"),
+        # of two failing declaration checks, the earlier one in that order wins
+        ("lines 2\nancilla 5 1\n", 2, "line index 5 out of range for width 2"),
+        ("lines 2\nancilla x 1\n", 2, "expected a line index, got 'x'"),
+        ("lines 2\ninput x 9bad\n", 2, "expected a line index, got 'x'"),
+        # a range error comes at once; only a bad output label waits
+        ("lines 2\noutput 5 bad-label\n", 2, "line index 5 out of range for width 2"),
+        ("lines 2\ninput 0 a\ninput 0 9bad\n", 3, "line 0 role already declared"),
+        ("lines 2\nancilla 1\nancilla 1 1\n", 3, "line 1 role already declared"),
+        ("lines 2\noutput 1 bad-label\noutput 1 S\n", 3, "line 1 output already labeled"),
+        ("lines 2\ninput 0 9bad x\n", 2, "usage: input <line> <name>"),
     ],
 )
 def test_parse_errors(text, line, fragment):
