@@ -160,14 +160,9 @@ class LineRole(_Frozen):
     output: Optional[str]
 
     def __init__(self, name: Optional[str], output: Optional[str] = None) -> None:
-        # check_label's test, inline; it is called only to raise its error
-        if name is not None and not (name.isascii() and name.isidentifier()):
-            check_label(name)
-        if output is not None and not (output.isascii() and output.isidentifier()):
-            check_label(output)
         set_name, set_output = self._setters
-        set_name(self, name)
-        set_output(self, output)
+        set_name(self, check_label(name))
+        set_output(self, check_label(output))
 
     @property
     def is_ancilla(self) -> bool:

@@ -10,6 +10,10 @@
 
 Lines end at LF, CR LF or CR only, as in text mode, so `#` starts a
 comment that runs to the end of its line. Blank lines are ignored.
+A declaration is checked in one order and its first failing check is
+the error: usage, line index, range, duplicate, then an ancilla's `0`
+or an input's name; a bad output label is reported once the whole
+document is read. A gate's first bad token names its error.
 Undeclared lines default to named inputs q<idx>. Serialization is
 canonical (declarations in ascending line order, Toffoli controls
 ascending), so equal circuits produce byte-identical documents and every
@@ -44,8 +48,12 @@ class ParseError(CircuitError):
 
 #: gate keyword -> tokens in its statement
 _GATE_STATEMENTS = {keyword: n + 2 for n, keyword in enumerate(GATE_KEYWORDS)}
-#: declaration keyword -> tokens in its statement; an ancilla may add a "0"
-_DECLARATIONS = {"input": 3, "ancilla": 2, "output": 3}
+#: declaration keyword -> its usage; an ancilla's statement may omit the "0"
+_DECLARATIONS = {
+    "input": "usage: input <line> <name>",
+    "ancilla": "usage: ancilla <line> [0]",
+    "output": "usage: output <line> <label>",
+}
 
 
 def _int_token(token: str, line_no: int, what: str) -> int:
@@ -59,33 +67,6 @@ def _check_index(idx: int, width: int, line_no: int) -> int:
     if idx < 0 or idx >= width:
         raise ParseError(f"line index {idx} out of range for width {width}", line_no)
     return idx
-
-
-def _declaration_error(
-    keyword: str, args: list[str], width: int, names: dict, outputs: dict, line_no: int
-) -> None:
-    """Raise the error of a declaration that `parse_netlist` refused: the
-    first of its checks to fail, in the order they are listed here."""
-    if keyword == "input" and len(args) != 2:
-        raise ParseError("usage: input <line> <name>", line_no)
-    if keyword == "ancilla" and len(args) not in (1, 2):
-        raise ParseError("usage: ancilla <line> [0]", line_no)
-    if keyword == "output" and len(args) != 2:
-        raise ParseError("usage: output <line> <label>", line_no)
-    idx = _check_index(_int_token(args[0], line_no, "a line index"), width, line_no)
-    if keyword == "output":
-        if idx in outputs:
-            raise ParseError(f"line {idx} output already labeled", line_no)
-    elif idx in names:
-        raise ParseError(f"line {idx} role already declared", line_no)
-    elif keyword == "ancilla":
-        if len(args) == 2 and args[1] != "0":
-            raise ParseError(f"ancilla lines are constant 0, got initial {args[1]!r}", line_no)
-    else:
-        try:
-            check_label(args[1])
-        except StructuralError as exc:
-            raise ParseError(str(exc), line_no) from None
 
 
 def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
@@ -160,24 +141,37 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
             add_controls(gate.controls)
             add_target(gate.target)
 
-        elif (size := _DECLARATIONS.get(keyword)) is not None:
-            if len(tokens) == size or size == 2 and len(tokens) == 3 and tokens[2] == "0":
-                try:
-                    idx = int(tokens[1], 10)
-                except ValueError:
-                    idx = -1
-                if keyword == "output":
-                    if 0 <= idx < width and idx not in outputs:
-                        label = outputs[idx] = tokens[2]
-                        if not (label.isascii() and label.isidentifier()):
-                            bad_outputs.append((idx, line_no))
-                        continue
-                elif 0 <= idx < width and idx not in names:
-                    name = None if size == 2 else tokens[2]
-                    if name is None or name.isascii() and name.isidentifier():
-                        names[idx] = name
-                        continue
-            _declaration_error(keyword, tokens[1:], width, names, outputs, line_no)
+        elif (usage := _DECLARATIONS.get(keyword)) is not None:
+            # checks in the docstring's order; the first to fail is the error
+            if len(tokens) != 3 and (len(tokens) != 2 or keyword != "ancilla"):
+                raise ParseError(usage, line_no)
+            try:
+                idx = int(tokens[1], 10)
+            except ValueError:
+                idx = -1  # _int_token names the error
+            if not 0 <= idx < width:
+                _check_index(_int_token(tokens[1], line_no, "a line index"), width, line_no)
+            if keyword == "output":
+                if idx in outputs:
+                    raise ParseError(f"line {idx} output already labeled", line_no)
+                label = outputs[idx] = tokens[2]
+                if not (label.isascii() and label.isidentifier()):
+                    bad_outputs.append((idx, line_no))
+            elif idx in names:
+                raise ParseError(f"line {idx} role already declared", line_no)
+            elif keyword == "input":
+                name = names[idx] = tokens[2]
+                if not (name.isascii() and name.isidentifier()):
+                    try:
+                        check_label(name)
+                    except StructuralError as exc:
+                        raise ParseError(str(exc), line_no) from None
+            elif len(tokens) == 2 or tokens[2] == "0":
+                names[idx] = None
+            else:
+                raise ParseError(
+                    f"ancilla lines are constant 0, got initial {tokens[2]!r}", line_no
+                )
 
         elif keyword == "lines":
             raise ParseError("duplicate lines declaration", line_no)
