@@ -475,6 +475,35 @@ def test_metrics_output_is_pinned(build_args, as_csv):
     assert result.stdout == METRICS_GOLDEN[build_args][as_csv]
 
 
+#: a document with NOT gates, the one gate kind the built-in circuits lack
+NOT_GATES_DOC = (
+    "lines 3\ninput 0 a\ninput 1 b\nancilla 2\n"
+    "not 0\ncnot 0 1\ntoffoli 0 1 2\nnot 2\noutput 2 c\n"
+)
+NOT_GATES_GOLDEN = (
+    "gates         4\n"
+    "  toffoli     1\n"
+    "  cnot        1\n"
+    "  not         2\n"
+    "quantum cost  8\n"
+    "logical depth 4\n"
+    "schedule:\n"
+    "  step 1: g0 not 0\n"
+    "  step 2: g1 cnot 0 1\n"
+    "  step 3: g2 toffoli 0 1 2\n"
+    "  step 4: g3 not 2\n",
+    "gates,toffoli,cnot,not,qc,depth,schedule\n"
+    "4,1,1,2,8,4,0|1|2|3\n",
+)
+
+
+@pytest.mark.parametrize("as_csv", [False, True], ids=["text", "csv"])
+def test_metrics_output_with_not_gates_is_pinned(as_csv):
+    result = invoke("metrics", *(["--csv"] if as_csv else []), "-", input=NOT_GATES_DOC)
+    assert result.exit_code == 0
+    assert result.stdout == NOT_GATES_GOLDEN[as_csv]
+
+
 def test_compare_output_is_pinned():
     result = invoke("compare")
     assert result.exit_code == 0
