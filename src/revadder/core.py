@@ -92,10 +92,7 @@ class Gate(_Frozen):
     target: int
 
     def __init__(self, controls: tuple[int, ...], target: int) -> None:
-        # Only a pair can be out of order: other lengths are sorted or
-        # rejected below.
-        if type(controls) is not tuple or len(controls) > 1 and controls[0] > controls[1]:
-            controls = tuple(sorted(controls))
+        controls = tuple(sorted(controls))
         n = len(controls)
         if n > 2:
             raise StructuralError(f"a gate takes at most 2 controls, got {n}")

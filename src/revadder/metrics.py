@@ -14,6 +14,7 @@ import csv
 import io
 from typing import NamedTuple, Optional, Sequence
 
+from .adders import build_hng_reference, build_ppkn
 from .core import Circuit, describe_gate
 
 
@@ -96,10 +97,15 @@ def analyze(circuit: Circuit) -> MetricsReport:
     )
 
 
-#: A report's figures, in the column order of every rendering.
+#: Each figure once, in the column order of every rendering: its report
+#: field, its table column and its label in the metrics text.
 _FIGURES = (
-    "gate_count", "toffoli_count", "cnot_count",
-    "not_count", "quantum_cost", "logical_depth",
+    ("gate_count", "gates", "gates"),
+    ("toffoli_count", "toffoli", "  toffoli"),
+    ("cnot_count", "cnot", "  cnot"),
+    ("not_count", "not", "  not"),
+    ("quantum_cost", "qc", "quantum cost"),
+    ("logical_depth", "depth", "logical depth"),
 )
 
 
@@ -166,61 +172,44 @@ class QcReduction(NamedTuple):
 
 
 class ComparisonTable(NamedTuple):
+    """The paper's rows, the HNG reference's disagreements with the
+    published HNG, and PPKN's quantum-cost reduction over it."""
+
     rows: tuple[ComparisonRow, ...]
     discrepancies: tuple[Discrepancy, ...]
-    qc_reduction: Optional[QcReduction]
+    qc_reduction: QcReduction
 
 
-_CHECKED_METRICS = (
-    ("gate count", "gate_count"),
-    ("toffoli count", "toffoli_count"),
-    ("quantum cost", "quantum_cost"),
-    ("logical depth", "logical_depth"),
-)
+def compare_report() -> ComparisonTable:
+    """The paper's table: PPKN and the HNG reference, computed, then the
+    published HNG and TSG rows.
 
-
-def compare_report(computed: Sequence[tuple[str, MetricsReport]]) -> ComparisonTable:
-    """One table: the computed rows, then the published rows.
-
-    A computed row named like "X" or "X-anything" is checked against the
-    published row "X" on the four figures the published rows give;
-    disagreements are recorded, never reconciled. The table also carries
-    the quantum-cost reduction of the first computed row that has no
-    published counterpart, measured against the first published row
-    (HNG); it is None when every computed row has a published counterpart.
+    The HNG reference is checked against the published HNG on every figure
+    that row gives; disagreements are recorded, never reconciled. The
+    reduction is PPKN's quantum cost over the published HNG's.
     """
-    if not computed:
-        raise ValueError("compare_report needs at least one computed report")
-    rows = [
-        ComparisonRow(name, "computed", *(getattr(report, f) for f in _FIGURES))
-        for name, report in computed
-    ]
-    discrepancies: list[Discrepancy] = []
-    unpublished: list[ComparisonRow] = []
-    published_by_name = {row.name: row for row in DEFAULT_LITERATURE}
-    for row in rows:
-        baseline = published_by_name.get(row.name.split("-", 1)[0])
-        if baseline is None:
-            unpublished.append(row)
-            continue
-        for label, attr in _CHECKED_METRICS:
-            have = getattr(row, attr)
-            want = getattr(baseline, attr)
-            if have != want:
-                discrepancies.append(Discrepancy(row.name, baseline.name, label, have, want))
-
-    reduction = None
-    if unpublished:
-        row, baseline = unpublished[0], DEFAULT_LITERATURE[0]
-        reduction = QcReduction(row.name, baseline.name, row.quantum_cost, baseline.quantum_cost)
-    return ComparisonTable((*rows, *DEFAULT_LITERATURE), tuple(discrepancies), reduction)
+    ppkn, hng = (
+        ComparisonRow(name, "computed", *(getattr(report, field) for field, _, _ in _FIGURES))
+        for name, report in (
+            ("PPKN", analyze(build_ppkn()[0])),
+            ("HNG-reference", analyze(build_hng_reference()[0])),
+        )
+    )
+    discrepancies = tuple(
+        Discrepancy(hng.name, HNG_PUBLISHED.name, field.replace("_", " "), have, want)
+        for field, _, _ in _FIGURES
+        if (want := getattr(HNG_PUBLISHED, field)) is not None
+        and (have := getattr(hng, field)) != want
+    )
+    reduction = QcReduction(
+        ppkn.name, HNG_PUBLISHED.name, ppkn.quantum_cost, HNG_PUBLISHED.quantum_cost
+    )
+    return ComparisonTable((ppkn, hng, *DEFAULT_LITERATURE), discrepancies, reduction)
 
 
 # ---------------------------------------------------------------- rendering
 
-COMPARISON_COLUMNS = (
-    "name", "provenance", "gates", "toffoli", "cnot", "not", "qc", "depth",
-)
+COMPARISON_COLUMNS = ("name", "provenance", *(column for _, column, _ in _FIGURES))
 
 
 def _csv(rows: Sequence[Sequence[object]]) -> str:
@@ -243,9 +232,7 @@ def render_comparison_text(table: ComparisonTable) -> str:
         lines.append("")
         for flag in table.discrepancies:
             lines.append(f"discrepancy: {flag.describe()}")
-    if table.qc_reduction is not None:
-        lines.append("")
-        lines.append(table.qc_reduction.describe())
+    lines += ["", table.qc_reduction.describe()]
     return "\n".join(lines) + "\n"
 
 
@@ -254,15 +241,8 @@ def render_comparison_csv(table: ComparisonTable) -> str:
 
 
 def render_metrics_text(report: MetricsReport, circuit: Circuit) -> str:
-    lines = [
-        f"gates         {report.gate_count}",
-        f"  toffoli     {report.toffoli_count}",
-        f"  cnot        {report.cnot_count}",
-        f"  not         {report.not_count}",
-        f"quantum cost  {report.quantum_cost}",
-        f"logical depth {report.logical_depth}",
-        "schedule:",
-    ]
+    lines = [f"{label:<14}{getattr(report, field)}" for field, _, label in _FIGURES]
+    lines.append("schedule:")
     for t, step in enumerate(report.schedule.timesteps, start=1):
         body = " | ".join(f"g{i} {describe_gate(circuit.gates[i])}" for i in step)
         lines.append(f"  step {t}: {body}")
@@ -275,5 +255,5 @@ def render_metrics_csv(report: MetricsReport) -> str:
     )
     return _csv([
         COMPARISON_COLUMNS[2:] + ("schedule",),
-        [getattr(report, f) for f in _FIGURES] + [schedule],
+        [getattr(report, field) for field, _, _ in _FIGURES] + [schedule],
     ])

@@ -102,7 +102,7 @@ def test_baseline_adder(capsys):
     circuit, layout = build_hng_reference()
     report = analyze(circuit)
     verification = verify_full_adder(circuit, layout)
-    table = compare_report([("HNG-reference", report)])
+    table = compare_report()
     flagged = [
         d
         for d in table.discrepancies
@@ -126,16 +126,11 @@ def test_baseline_adder(capsys):
 
 
 def test_cost_reduction_claim(capsys):
-    ppkn, _ = build_ppkn()
-    hng, _ = build_hng_reference()
-    table = compare_report(
-        [("PPKN", analyze(ppkn)), ("HNG-reference", analyze(hng))]
-    )
+    table = compare_report()
     reduction = table.qc_reduction
     rendered = render_comparison_text(table)
     ok = (
-        reduction is not None
-        and reduction.ratio == (12 - 10) / 12
+        reduction.ratio == (12 - 10) / 12
         and round(100 * reduction.ratio) == 17
         and "16.7%" in rendered
         and "(12 - 10) / 12" in rendered
