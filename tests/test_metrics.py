@@ -26,6 +26,13 @@ from revadder import (
     toffoli,
 )
 
+from revadder.metrics import (
+    COMPARISON_COLUMNS,
+    ComparisonRow,
+    MetricsReport,
+    _FIGURES,
+)
+
 from helpers import (
     assert_schedule_valid,
     bitstates_st,
@@ -231,6 +238,22 @@ def test_compare_row_layout():
         ("HNG", "literature"),
         ("TSG", "literature"),
     ]
+
+
+def test_compare_computed_rows_are_the_adders_reports():
+    # compare_report() fills each computed row positionally from _FIGURES,
+    # so every figure must land in the field of the same name
+    table = compare_report()
+    for row, (circuit, _) in zip(table.rows, (build_ppkn(), build_hng_reference())):
+        report = analyze(circuit)
+        for field in MetricsReport._fields[:-1]:
+            assert getattr(row, field) == getattr(report, field), (row.name, field)
+
+
+def test_figure_table_follows_the_row_and_column_order():
+    assert tuple(field for field, _, _ in _FIGURES) == ComparisonRow._fields[2:]
+    assert {field for field, _, _ in _FIGURES} == set(MetricsReport._fields[:-1])
+    assert COMPARISON_COLUMNS[2:] == tuple(column for _, column, _ in _FIGURES)
 
 
 def test_compare_ppkn_matches_no_baseline():
