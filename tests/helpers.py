@@ -13,7 +13,6 @@ from revadder import (
     Mismatch,
     ancilla,
     named,
-    new_circuit,
     oracle_add,
     simulate,
 )
@@ -105,7 +104,7 @@ def random_circuit(rng: random.Random, width: int, n_gates: int):
         for i in range(width)
     ]
     gates = [random_gate(rng, width) for _ in range(n_gates)]
-    return new_circuit(width, roles).extend(gates)
+    return Circuit(width, roles, gates)
 
 
 #: the line-label rule as the regular expression the library once used,
@@ -133,7 +132,7 @@ def circuits_st(draw, min_width: int = 1, max_width: int = 10, max_gates: int = 
     width = draw(st.integers(min_width, max_width))
     roles = draw(st.lists(roles_st, min_size=width, max_size=width))
     gates = draw(st.lists(gates_st(width), max_size=max_gates))
-    return new_circuit(width, roles).extend(gates)
+    return Circuit(width, roles, gates)
 
 
 def transpose_reference(rows, width: int) -> list[int]:

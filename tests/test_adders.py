@@ -20,7 +20,6 @@ from revadder import (
     cnot,
     logical_depth,
     named,
-    new_circuit,
     oracle_add,
     ppkn_gates,
     render_verification_text,
@@ -313,7 +312,7 @@ def test_rca_random_lane_bits_cap():
     report = verify_rca(c, layout, "random", trials=RANDOM_LANE_BITS // 16)
     assert report.passed and report.cases * c.width == RANDOM_LANE_BITS
     # one spare line makes 17 lines, and 17 x 15,790,321 is the cap plus one
-    wider = new_circuit(17, c.roles + (ancilla(),)).extend(c.gates)
+    wider = Circuit(17, c.roles + (ancilla(),), c.gates)
     trials = (RANDOM_LANE_BITS + 1) // 17
     assert trials * 17 == RANDOM_LANE_BITS + 1
     for circuit, count in ((wider, trials), (c, 10**12)):
@@ -388,7 +387,7 @@ def test_dropping_any_gate_is_detected():
 def _embedded_ppkn():
     """The adder block on lines (5, 1, 3, 6) of an 8-line circuit."""
     roles = [ancilla() if i == 6 else named(f"q{i}") for i in range(8)]
-    circuit = new_circuit(8, roles).extend(ppkn_gates(5, 1, 3, 6))
+    circuit = Circuit(8, roles, ppkn_gates(5, 1, 3, 6))
     return circuit, AdderLayout(1, cin_line=5, a_lines=(1,), b_lines=(3,), ancilla_lines=(6,))
 
 
@@ -418,9 +417,7 @@ def test_miswired_cascade_is_detected():
     roles = [named("Cin")]
     for i in range(2):
         roles += [named(f"A{i}"), named(f"B{i}"), ancilla()]
-    bad = new_circuit(7, tuple(roles)).extend(
-        ppkn_gates(0, 1, 2, 3) + ppkn_gates(0, 4, 5, 6)
-    )
+    bad = Circuit(7, roles, ppkn_gates(0, 1, 2, 3) + ppkn_gates(0, 4, 5, 6))
     report = verify_rca(bad, layout)
     assert not report.passed
     assert report.failing_rows()

@@ -40,27 +40,27 @@ from helpers import (
 FOUR_ROLES = (named("Cin"), named("A"), named("B"), ancilla())
 
 
-def test_new_circuit_four_lines():
-    c = new_circuit(4, FOUR_ROLES)
+def test_circuit_four_lines():
+    c = Circuit(4, FOUR_ROLES)
     assert c.width == 4
     assert c.gates == ()
     assert c.roles[3].is_ancilla
     assert not c.roles[0].is_ancilla
 
 
-def test_new_circuit_single_line():
-    c = new_circuit(1, (ancilla(),))
+def test_circuit_single_line():
+    c = Circuit(1, (ancilla(),))
     assert c.width == 1
 
 
 def test_zero_width_rejected():
     with pytest.raises(StructuralError):
-        new_circuit(0, ())
+        Circuit(0, ())
 
 
 def test_roles_length_mismatch_rejected():
     with pytest.raises(StructuralError):
-        new_circuit(2, (named("x"),))
+        Circuit(2, (named("x"),))
 
 
 def test_append_returns_new_circuit():
@@ -71,9 +71,9 @@ def test_append_returns_new_circuit():
     assert grown.gates[0] == Gate((2,), 0)
 
 
-def test_extend_preserves_order():
+def test_circuit_preserves_gate_order():
     gates = (cnot(0, 1), not_gate(0), toffoli(0, 1, 2))
-    c = new_circuit(3, (named("a"), named("b"), ancilla())).extend(gates)
+    c = Circuit(3, (named("a"), named("b"), ancilla()), iter(gates))
     assert c.gates == gates
 
 
@@ -115,19 +115,17 @@ BAD_BATCH = (cnot(1, 0), toffoli(0, 1, 2), not_gate(1))
 
 
 @pytest.mark.parametrize(
-    "add",
+    "gates",
     [
-        lambda c: c.extend((toffoli(0, 1, 2),)),
-        lambda c: c.extend(list(BAD_BATCH)),
-        lambda c: c.extend(gate for gate in BAD_BATCH),
+        lambda: (cnot(0, 1), toffoli(0, 1, 2)),
+        lambda: [cnot(0, 1), *BAD_BATCH],
+        lambda: (gate for gate in (cnot(0, 1), *BAD_BATCH)),
     ],
-    ids=["append", "extend-mid-batch", "extend-generator"],
+    ids=["tuple", "list-mid-batch", "generator"],
 )
-def test_append_rejects_out_of_range_gate(add):
-    c = new_circuit(2, (named("a"), named("b"))).extend((cnot(0, 1),))
-    with pytest.raises(StructuralError):
-        add(c)
-    assert c.width == 2 and c.gates == (cnot(0, 1),)
+def test_circuit_rejects_out_of_range_gate(gates):
+    with pytest.raises(StructuralError, match="^gate toffoli uses line 2, width is 2$"):
+        Circuit(2, (named("a"), named("b")), gates())
 
 
 @pytest.mark.parametrize(
@@ -298,14 +296,14 @@ def test_values_hash_and_compare_by_fields_and_class(value, fields):
 
 
 def test_count_by_kind():
-    c = new_circuit(3, (named("a"), named("b"), ancilla()))
-    c = c.extend((cnot(0, 1), cnot(1, 2), toffoli(0, 1, 2), not_gate(0)))
+    gates = (cnot(0, 1), cnot(1, 2), toffoli(0, 1, 2), not_gate(0))
+    c = Circuit(3, (named("a"), named("b"), ancilla()), gates)
     report = analyze(c)
     assert (report.not_count, report.cnot_count, report.toffoli_count) == (1, 2, 1)
 
 
 def test_circuit_is_frozen():
-    c = new_circuit(2, (named("a"), named("b")))
+    c = Circuit(2, (named("a"), named("b")))
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.width = 3
 
@@ -313,7 +311,7 @@ def test_circuit_is_frozen():
 @given(circuits_st(max_width=6, max_gates=20))
 def test_inverse_undoes_circuit_exhaustively(c):
     # every NCT gate is its own inverse, so the reversed gate list undoes c
-    table = permutation_of(c.extend(reversed(c.gates)))
+    table = permutation_of(Circuit(c.width, c.roles, c.gates + c.gates[::-1]))
     assert table.entries == tuple(range(1 << c.width))
 
 
@@ -322,6 +320,5 @@ def test_self_inverse_gates(data):
     width = data.draw(st.integers(1, 8))
     gate = data.draw(gates_st(width))
     state = data.draw(bitstates_st(width))
-    c = new_circuit(width, tuple(named(f"q{i}") for i in range(width)))
-    twice = c.extend((gate, gate))
+    twice = Circuit(width, tuple(named(f"q{i}") for i in range(width)), (gate, gate))
     assert simulate(twice, state) == state

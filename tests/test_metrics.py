@@ -17,7 +17,6 @@ from revadder import (
     compare_report,
     logical_depth,
     named,
-    new_circuit,
     render_comparison_csv,
     render_comparison_text,
     render_metrics_csv,
@@ -48,7 +47,7 @@ PPKN_SCHEDULE = ((0, 1), (2,), (3, 4), (5,))
 
 
 def test_quantum_cost_of_empty_circuit():
-    assert analyze(new_circuit(1, (named("a"),))).quantum_cost == 0
+    assert analyze(Circuit(1, (named("a"),))).quantum_cost == 0
 
 
 def test_quantum_cost_ppkn():
@@ -75,7 +74,7 @@ def test_conflict_rule():
 
 
 def test_logical_depth_empty():
-    depth, schedule = logical_depth(new_circuit(2, (named("a"), named("b"))))
+    depth, schedule = logical_depth(Circuit(2, (named("a"), named("b"))))
     assert depth == 0
     assert schedule.timesteps == ()
 
@@ -95,8 +94,7 @@ def test_logical_depth_hng_reference_is_serial():
 
 
 def test_logical_depth_parallel_fanout():
-    c = new_circuit(3, tuple(named(f"q{i}") for i in range(3)))
-    c = c.extend((cnot(0, 1), cnot(0, 2)))
+    c = Circuit(3, tuple(named(f"q{i}") for i in range(3)), (cnot(0, 1), cnot(0, 2)))
     depth, schedule = logical_depth(c)
     assert depth == 1
     assert schedule.timesteps == ((0, 1),)
@@ -115,9 +113,7 @@ def test_analyze_ppkn():
 
 
 def test_analyze_single_toffoli():
-    c = new_circuit(3, (named("a"), named("b"), ancilla())).extend(
-        (toffoli(0, 1, 2),)
-    )
+    c = Circuit(3, (named("a"), named("b"), ancilla()), (toffoli(0, 1, 2),))
     report = analyze(c)
     assert report.gate_count == 1
     assert report.quantum_cost == 5

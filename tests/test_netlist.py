@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from revadder import (
     AdderLayout,
+    Circuit,
     Gate,
     ParseError,
     StructuralError,
@@ -16,7 +17,6 @@ from revadder import (
     cnot,
     export_qasm,
     named,
-    new_circuit,
     parse_netlist,
     serialize_netlist,
     toffoli,
@@ -85,17 +85,12 @@ def test_parse_minimal_document():
 
 
 def test_serialize_gateless_circuit_is_roles_only():
-    from revadder import new_circuit
-
-    c = new_circuit(2, (named("x"), named("y")))
+    c = Circuit(2, (named("x"), named("y")))
     assert serialize_netlist(c) == "lines 2\ninput 0 x\ninput 1 y\n"
 
 
 def test_serialize_orders_toffoli_controls():
-    from revadder import new_circuit
-
-    c = new_circuit(3, tuple(named(f"q{i}") for i in range(3)))
-    c = c.extend((toffoli(2, 0, 1),))
+    c = Circuit(3, tuple(named(f"q{i}") for i in range(3)), (toffoli(2, 0, 1),))
     assert "toffoli 0 2 1" in serialize_netlist(c)
 
 
@@ -245,7 +240,7 @@ def test_gates_read_an_index_as_int_does(token):
     ids=["not", "cnot", "toffoli", "toffoli-unordered", "bool-control"],
 )
 def test_gate_statement_text_is_pinned(gate, statement, qasm):
-    circuit = new_circuit(5, [named(f"q{i}") for i in range(5)]).extend([gate])
+    circuit = Circuit(5, [named(f"q{i}") for i in range(5)], [gate])
     assert describe_gate(gate) == statement
     assert serialize_netlist(circuit).splitlines()[6:] == [statement]
     assert export_qasm(circuit).splitlines()[3:] == [qasm]

@@ -12,6 +12,7 @@ from revadder import (
     EXHAUSTIVE_LINE_LIMIT,
     BatchState,
     CapacityError,
+    Circuit,
     PermutationTable,
     StructuralError,
     all_basis_states,
@@ -19,7 +20,6 @@ from revadder import (
     cnot,
     is_bijection,
     named,
-    new_circuit,
     oracle_add,
     permutation_of,
     simulate,
@@ -54,7 +54,7 @@ def test_int_to_bits_line_zero_is_lsb():
 
 
 def one_gate(gate, width):
-    return new_circuit(width, tuple(named(f"q{i}") for i in range(width))).extend((gate,))
+    return Circuit(width, tuple(named(f"q{i}") for i in range(width)), (gate,))
 
 
 def test_apply_toffoli_fires_when_both_controls_set():
@@ -276,12 +276,12 @@ def test_simulate_batch_width_mismatch():
 
 
 def test_permutation_of_empty_circuit():
-    c = new_circuit(2, (named("a"), named("b")))
+    c = Circuit(2, (named("a"), named("b")))
     assert permutation_of(c).entries == (0, 1, 2, 3)
 
 
 def test_permutation_of_single_not():
-    c = new_circuit(1, (named("a"),)).extend((not_gate(0),))
+    c = Circuit(1, (named("a"),), (not_gate(0),))
     assert permutation_of(c).entries == (1, 0)
 
 
@@ -327,7 +327,7 @@ def test_ppkn_dirty_ancilla_xors_carry():
 
 def test_permutation_capacity_limit():
     width = EXHAUSTIVE_LINE_LIMIT + 1
-    c = new_circuit(width, tuple(named(f"q{i}") for i in range(width)))
+    c = Circuit(width, tuple(named(f"q{i}") for i in range(width)))
     # one 2^21-lane word alone would take 256 KiB
     tracemalloc.start()
     try:
