@@ -9,7 +9,6 @@ from .core import (
     ancilla,
     cnot,
     named,
-    new_circuit,
     toffoli,
 )
 from .simulate import (
@@ -101,7 +100,6 @@ __all__ = [
     "is_bijection",
     "logical_depth",
     "named",
-    "new_circuit",
     "oracle_add",
     "parse_netlist",
     "permutation_of",

@@ -23,7 +23,6 @@ from .core import (
     ancilla,
     cnot,
     named,
-    new_circuit,
     toffoli,
 )
 from .simulate import (
@@ -132,8 +131,7 @@ def build_ppkn() -> tuple[Circuit, AdderLayout]:
         named("B", output="B"),
         ancilla(output="Cout"),
     )
-    circuit = new_circuit(4, roles).extend(ppkn_gates(0, 1, 2, 3))
-    return circuit, canonical_layout(1)
+    return Circuit(4, roles, ppkn_gates(0, 1, 2, 3)), canonical_layout(1)
 
 
 def build_hng_reference() -> tuple[Circuit, AdderLayout]:
@@ -156,7 +154,7 @@ def build_hng_reference() -> tuple[Circuit, AdderLayout]:
         cnot(1, 2),
         cnot(0, 1),
     )
-    circuit = new_circuit(4, roles).extend(gates)
+    circuit = Circuit(4, roles, gates)
     return circuit, AdderLayout(1, cin_line=2, a_lines=(0,), b_lines=(1,), ancilla_lines=(3,))
 
 

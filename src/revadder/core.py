@@ -2,8 +2,9 @@
 
 A circuit is an ordered list of NOT/CNOT/Toffoli gates acting on `width`
 lines, plus per-line role metadata (named input or constant-0 ancilla,
-optional output label). Lines are indexed 0-based, top to bottom. Circuits
-are immutable: builders return new values, so they are safe to share.
+optional output label). Lines are indexed 0-based, top to bottom. A
+circuit is made one way, `Circuit(width, roles, gates)`, which checks every
+gate. Circuits are immutable, so they are safe to share.
 """
 from __future__ import annotations
 
@@ -110,12 +111,6 @@ class Gate(_Frozen):
         """The netlist keyword: "not", "cnot" or "toffoli"."""
         return GATE_KEYWORDS[len(self.controls)]
 
-    @property
-    def max_line(self) -> int:
-        """The largest line the gate touches: its target or its last control."""
-        controls = self.controls
-        return max(controls[-1], self.target) if controls else self.target
-
 
 def cnot(control: int, target: int) -> Gate:
     return Gate((control,), target)
@@ -174,18 +169,12 @@ def ancilla(output: Optional[str] = None) -> LineRole:
     return LineRole(None, output)
 
 
-def _check_gates(gates: tuple[Gate, ...], width: int) -> None:
-    for gate in gates:
-        controls = gate.controls
-        if gate.target >= width or controls and controls[-1] >= width:
-            raise StructuralError(
-                f"gate {gate.kind} uses line {gate.max_line}, width is {width}"
-            )
-
-
 class Circuit(_Frozen):
     """An ordered NCT gate list over `width` lines.
 
+    The constructor is the one public way to make a circuit. It checks
+    that there is one role per line and that every gate stays within
+    `width`; a circuit with other gates is `Circuit(c.width, c.roles, gates)`.
     Gate order is program order; semantics is sequential left-to-right
     application. Equality compares width, roles (including output labels)
     and gates.
@@ -204,17 +193,12 @@ class Circuit(_Frozen):
             raise StructuralError(f"width must be >= 1, got {width}")
         if len(roles) != width:
             raise StructuralError(f"{len(roles)} roles for width {width}")
-        _check_gates(gates, width)
+        for gate in gates:
+            controls = gate.controls
+            if gate.target >= width or controls and controls[-1] >= width:
+                line = max((gate.target, *controls))
+                raise StructuralError(
+                    f"gate {gate.kind} uses line {line}, width is {width}"
+                )
         for setter, value in zip(self._setters, (width, roles, gates)):
             setter(self, value)
-
-    def extend(self, gates: Iterable[Gate]) -> Circuit:
-        """Return a new circuit with `gates` appended, validating only those gates."""
-        added = tuple(gates)
-        _check_gates(added, self.width)
-        return Circuit._many((self.width,), (self.roles,), (self.gates + added,))[0]
-
-
-def new_circuit(width: int, roles: Iterable[LineRole]) -> Circuit:
-    """An empty circuit over `width` lines with the given roles."""
-    return Circuit(width, roles)

@@ -338,7 +338,7 @@ def test_public_surface_is_what_the_cli_and_benchmark_use():
         "all_basis_states", "analyze", "ancilla",
         "build_hng_reference", "build_ppkn", "build_rca", "canonical_layout",
         "cnot", "compare_report", "export_qasm", "is_bijection", "logical_depth",
-        "named", "new_circuit", "oracle_add", "parse_netlist", "permutation_of",
+        "named", "oracle_add", "parse_netlist", "permutation_of",
         "ppkn_gates", "render_comparison_csv", "render_comparison_text",
         "render_metrics_csv", "render_metrics_text", "render_verification_text",
         "serialize_netlist", "simulate", "simulate_batch", "toffoli",

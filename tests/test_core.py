@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import pickle
-import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -18,7 +17,6 @@ from revadder import (
     canonical_layout,
     cnot,
     named,
-    new_circuit,
     parse_netlist,
     permutation_of,
     simulate,
@@ -63,29 +61,10 @@ def test_roles_length_mismatch_rejected():
         Circuit(2, (named("x"),))
 
 
-def test_append_returns_new_circuit():
-    base = new_circuit(4, FOUR_ROLES)
-    grown = base.extend((cnot(2, 0),))
-    assert base.gates == ()
-    assert len(grown.gates) == 1
-    assert grown.gates[0] == Gate((2,), 0)
-
-
 def test_circuit_preserves_gate_order():
     gates = (cnot(0, 1), not_gate(0), toffoli(0, 1, 2))
     c = Circuit(3, (named("a"), named("b"), ancilla()), iter(gates))
     assert c.gates == gates
-
-
-def test_appending_one_gate_at_a_time_is_linear():
-    built, _ = build_rca(1024)
-    started = time.perf_counter()
-    c = new_circuit(built.width, built.roles)
-    for gate in built.gates:
-        c = c.extend((gate,))
-    elapsed = time.perf_counter() - started
-    assert c == built and len(c.gates) == 6 * 1024
-    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def test_gate_arity_enforced():
@@ -136,8 +115,6 @@ def test_out_of_range_gate_is_named_by_its_kind(gate, kind):
     message = f"^gate {kind} uses line 2, width is 2$"
     with pytest.raises(StructuralError, match=message):
         Circuit(2, roles, (gate,))
-    with pytest.raises(StructuralError, match=message):
-        new_circuit(2, roles).extend((gate,))
 
 
 def test_toffoli_control_order_normalized():
