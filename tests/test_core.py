@@ -19,6 +19,7 @@ from revadder import (
     named,
     parse_netlist,
     permutation_of,
+    serialize_netlist,
     simulate,
     toffoli,
     verify_full_adder,
@@ -59,6 +60,14 @@ def test_zero_width_rejected():
 def test_roles_length_mismatch_rejected():
     with pytest.raises(StructuralError):
         Circuit(2, (named("x"),))
+
+
+def test_circuit_with_other_gates_leaves_the_original():
+    base = Circuit(4, FOUR_ROLES)
+    grown = Circuit(base.width, base.roles, (*base.gates, cnot(2, 0)))
+    assert base.gates == ()
+    assert grown.roles == base.roles
+    assert grown.gates == (Gate((2,), 0),)
 
 
 def test_circuit_preserves_gate_order():
@@ -115,6 +124,23 @@ def test_out_of_range_gate_is_named_by_its_kind(gate, kind):
     message = f"^gate {kind} uses line 2, width is 2$"
     with pytest.raises(StructuralError, match=message):
         Circuit(2, roles, (gate,))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [toffoli(0, 3, 1), toffoli(0, 1, 3), cnot(3, 1), toffoli(2, 3, 0)],
+    ids=["toffoli-control", "toffoli-target", "cnot-control", "two-lines-out"],
+)
+def test_out_of_range_gate_names_its_highest_line(gate):
+    with pytest.raises(StructuralError, match=f"^gate {gate.kind} uses line 3, width is 2$"):
+        Circuit(2, (named("a"), named("b")), (gate,))
+
+
+def test_bulk_built_circuits_pass_the_constructor_check():
+    # build_rca and parse_netlist skip the per-gate check; what they build
+    # must be a circuit the checked constructor accepts unchanged
+    for built in (build_rca(8)[0], parse_netlist(serialize_netlist(*build_rca(5)))[0]):
+        assert Circuit(built.width, built.roles, built.gates) == built
 
 
 def test_toffoli_control_order_normalized():
