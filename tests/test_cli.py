@@ -19,8 +19,19 @@ PPKN_DOC = serialize_netlist(build_ppkn()[0], canonical_layout(1))
 RCA4_DOC = serialize_netlist(*build_rca(4))
 
 
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
+
+
 def invoke(*args, **kwargs):
     return runner.invoke(main, list(args), **kwargs)
+
+
+def run_process(*args, **kwargs):
+    """Run `python -m revadder ARGS` as a child process, through `cli.run`."""
+    kwargs.setdefault("env", CLI_ENV)
+    return subprocess.run(
+        [sys.executable, "-m", "revadder", *args], capture_output=True, **kwargs
+    )
 
 
 def test_build_ppkn_emits_canonical_netlist():
@@ -34,6 +45,53 @@ def test_build_writes_output_file(tmp_path: Path):
     result = invoke("build", "ppkn", "-o", str(target))
     assert result.exit_code == 0
     assert target.read_text() == PPKN_DOC
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_build_to_unwritable_output_is_usage_error(tmp_path: Path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.net"
+    result = run_process("build", "ppkn", "-o", str(target), text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith(f"Error: Could not open file '{target}': ")
+
+
+def test_build_usage_error_leaves_output_file_untouched(tmp_path: Path):
+    # click opens -o lazily, on the first write, which a usage error never reaches
+    target = tmp_path / "existing.net"
+    target.write_bytes(b"kept\n")
+    result = invoke("build", "rca", "-o", str(target))
+    assert result.exit_code == 2
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_process_writes_the_same_output_file(tmp_path: Path):
+    # the heap is frozen at exit, so a file left for the last collection
+    # would lose its buffer: the process must close it first
+    target = tmp_path / "rca16.net"
+    result = run_process("build", "rca", "--bits", "16", "-o", str(target))
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert target.read_bytes() == invoke("build", "rca", "--bits", "16").output.encode()
+
+
+def test_process_failing_verify_matches_in_process_run():
+    doc = invoke("build", "rca", "--bits", "3").output.replace("cnot 1 0\n", "")
+    in_process = invoke("verify", "-", input=doc)
+    result = run_process("verify", "-", input=doc, text=True)
+    assert in_process.exit_code == result.returncode == 1
+    assert result.stdout == in_process.output
+    assert result.stderr == ""
+
+
+def test_both_entry_points_start_through_run():
+    # plain text: Python 3.10 has no tomllib
+    root = Path(__file__).resolve().parents[1]
+    scripts = (root / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+    assert scripts.splitlines()[0] == 'revadder = "revadder.cli:run"'
+    main_module = Path(revadder.__file__).with_name("__main__.py").read_text()
+    assert main_module.splitlines() == ["from .cli import run", "", "run()"]
 
 
 def test_build_rca_requires_bits():
@@ -204,11 +262,7 @@ def test_verify_random_mode_reports_trials():
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_verify_rejects_non_positive_trials(trials):
     doc = invoke("build", "rca", "--bits", "9").output
-    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-m", "revadder", "verify", "-", "--trials", trials],
-        input=doc, capture_output=True, text=True, env=env,
-    )
+    result = run_process("verify", "-", "--trials", trials, input=doc, text=True)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "--trials" in result.stderr
@@ -226,12 +280,8 @@ def test_verify_one_bit_document_rejects_sampling_flags(flags):
     if flags[0] != "--mode":
         for mode in ([], ["--mode", "exhaustive"]):
             runs.append((RCA4_DOC, mode + flags, "all 512 rows"))
-    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
     for document, args, rows in runs:
-        result = subprocess.run(
-            [sys.executable, "-m", "revadder", "verify", "-", *args],
-            input=document, capture_output=True, text=True, env=env,
-        )
+        result = run_process("verify", "-", *args, input=document, text=True)
         assert result.returncode == 2, args
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
@@ -248,11 +298,8 @@ def test_verify_one_bit_document_in_exhaustive_mode_passes():
 @pytest.mark.parametrize("command", ["metrics", "verify", "export"])
 def test_non_utf8_input_is_a_parse_error(command):
     # UTF-8 mode pins the text encoding whatever the locale
-    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]), PYTHONUTF8="1")
-    result = subprocess.run(
-        [sys.executable, "-m", "revadder", command, "-"],
-        input=b"\xff\xfe", capture_output=True, env=env,
-    )
+    env = dict(CLI_ENV, PYTHONUTF8="1")
+    result = run_process(command, "-", input=b"\xff\xfe", env=env)
     assert result.returncode == 3
     stderr = result.stderr.decode()
     assert "Traceback" not in stderr
@@ -269,11 +316,7 @@ def test_non_utf8_input_is_a_parse_error(command):
 )
 def test_oversized_inputs_are_refused_before_allocation(args, document, code, cap):
     # at the cap plus one, so that a missing check fails fast
-    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-m", "revadder", *args],
-        input=document, capture_output=True, text=True, env=env, timeout=60,
-    )
+    result = run_process(*args, input=document, text=True, timeout=60)
     assert result.returncode == code
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
@@ -284,11 +327,9 @@ def test_oversized_inputs_are_refused_before_allocation(args, document, code, ca
 def test_verify_oversized_trials_is_usage_error(trials):
     # a 5-bit cascade has 16 lines, so the first row is the lane-bit cap plus 16
     doc = invoke("build", "rca", "--bits", "5").output
-    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
-    result = subprocess.run(
-        [sys.executable, "-m", "revadder", "verify", "--mode", "random",
-         "--trials", str(trials), "-"],
-        input=doc, capture_output=True, text=True, env=env, timeout=60,
+    result = run_process(
+        "verify", "--mode", "random", "--trials", str(trials), "-",
+        input=doc, text=True, timeout=60,
     )
     assert result.returncode == 2
     assert result.stdout == ""
@@ -314,9 +355,8 @@ print(json.dumps({
 
 
 def test_cli_start_up_loads_metrics_and_qasm_only_on_use():
-    env = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
     result = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", STARTUP_PROBE], capture_output=True, text=True, env=CLI_ENV,
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {
