@@ -17,8 +17,6 @@ runner = CliRunner()
 
 PPKN_DOC = serialize_netlist(build_ppkn()[0], canonical_layout(1))
 RCA4_DOC = serialize_netlist(*build_rca(4))
-
-
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(revadder.__file__).parents[1]))
 
 
@@ -298,8 +296,7 @@ def test_verify_one_bit_document_in_exhaustive_mode_passes():
 @pytest.mark.parametrize("command", ["metrics", "verify", "export"])
 def test_non_utf8_input_is_a_parse_error(command):
     # UTF-8 mode pins the text encoding whatever the locale
-    env = dict(CLI_ENV, PYTHONUTF8="1")
-    result = run_process(command, "-", input=b"\xff\xfe", env=env)
+    result = run_process(command, "-", input=b"\xff\xfe", env=dict(CLI_ENV, PYTHONUTF8="1"))
     assert result.returncode == 3
     stderr = result.stderr.decode()
     assert "Traceback" not in stderr
