@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification found counterexamples, 2 bad
-usage/flags or an `-o` file that cannot be opened, 3 netlist not
-decodable as text or not parsable. File
-arguments accept `-` for standard input/output, so commands compose:
+usage/flags or an output that cannot be written (an `-o` file that
+cannot be opened, or a write that fails, as on a full disk), 3 netlist
+not decodable as text or not parsable. File arguments accept `-` for
+standard input/output, so commands compose:
 
     revadder build ppkn | revadder metrics -
     revadder build rca --bits 3 | revadder verify -
@@ -12,17 +13,11 @@ Every command runs in its own process, so the metrics and QASM modules
 are imported inside the commands that use them: `build` and `verify`
 never load them.
 
-Both `revadder` and `python -m revadder` start through `run`, which
-freezes the heap when the process exits. Otherwise the interpreter's
-final collection walks every object that click and revadder made at
-import, about 10 ms of a 70 ms process, and in a pipeline the consumer
-sees end of input only once the producer has finished that walk. `main`
-stays the in-process entry point: it registers nothing.
+Both `revadder` and `python -m revadder` start through
+`revadder.__main__:run`, which runs `main` as a process. `main` is the
+in-process entry point, for callers such as click's `CliRunner`.
 """
 from __future__ import annotations
-
-import atexit
-import gc
 
 import click
 from click.core import ParameterSource
@@ -54,22 +49,6 @@ MAX_RCA_BITS = (MAX_LINES - 1) // 3
 @click.group()
 def main() -> None:
     """Build, simulate, verify, and analyze reversible NCT adder circuits."""
-
-
-def run() -> None:
-    """Run the CLI as a process: `main`, with the heap frozen at exit.
-
-    atexit handlers run before the interpreter flushes stdio and collects
-    garbage for the last time. Freezing there moves every live object to
-    the permanent generation, which those collections skip, so the
-    process ends without walking its import-time heap, and the next
-    process of a pipeline reads end of input that much sooner. Flushing,
-    closing, other atexit handlers and the exit code are unchanged.
-    In-process callers, such as click's `CliRunner`, call `main`, which
-    registers nothing.
-    """
-    atexit.register(gc.freeze)
-    main()
 
 
 def _read_document(ctx: click.Context, fh) -> tuple:
@@ -242,7 +221,3 @@ def export(ctx: click.Context, file, fmt: str) -> None:
 
     circuit, _ = _read_document(ctx, file)
     click.echo(export_qasm(circuit), nl=False)
-
-
-if __name__ == "__main__":
-    run()

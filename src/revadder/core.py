@@ -9,7 +9,6 @@ gate. Circuits are immutable, so they are safe to share.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -69,10 +68,16 @@ class _Frozen:
         fields = map("{}={!r}".format, self.__slots__, self._fields(self))
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
+    # imported where raised: nothing else here needs `dataclasses`, and a
+    # CLI process that never assigns to a value never loads it
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:

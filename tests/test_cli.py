@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -24,12 +25,16 @@ def invoke(*args, **kwargs):
     return runner.invoke(main, list(args), **kwargs)
 
 
+def run_python(*args, **kwargs):
+    """Run `python ARGS` as a child process that imports revadder from this tree."""
+    kwargs = {"env": CLI_ENV, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *args], **kwargs)
+
+
 def run_process(*args, **kwargs):
-    """Run `python -m revadder ARGS` as a child process, through `cli.run`."""
-    kwargs.setdefault("env", CLI_ENV)
-    return subprocess.run(
-        [sys.executable, "-m", "revadder", *args], capture_output=True, **kwargs
-    )
+    """Run `python -m revadder ARGS` as a child process, through
+    `revadder.__main__:run`."""
+    return run_python("-m", "revadder", *args, **kwargs)
 
 
 def test_build_ppkn_emits_canonical_netlist():
@@ -66,8 +71,8 @@ def test_build_usage_error_leaves_output_file_untouched(tmp_path: Path):
 
 
 def test_process_writes_the_same_output_file(tmp_path: Path):
-    # the heap is frozen at exit, so a file left for the last collection
-    # would lose its buffer: the process must close it first
+    # the process ends with `os._exit`, which flushes and closes no file:
+    # click must close -o before `main` returns, or its buffer is lost
     target = tmp_path / "rca16.net"
     result = run_process("build", "rca", "--bits", "16", "-o", str(target))
     assert (result.returncode, result.stderr) == (0, b"")
@@ -87,9 +92,63 @@ def test_both_entry_points_start_through_run():
     # plain text: Python 3.10 has no tomllib
     root = Path(__file__).resolve().parents[1]
     scripts = (root / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
-    assert scripts.splitlines()[0] == 'revadder = "revadder.cli:run"'
+    assert scripts.splitlines()[0] == 'revadder = "revadder.__main__:run"'
+    # `python -m revadder` runs the module's one top-level call
     main_module = Path(revadder.__file__).with_name("__main__.py").read_text()
-    assert main_module.splitlines() == ["from .cli import run", "", "run()"]
+    assert main_module.endswith('\n\nif __name__ == "__main__":\n    run()\n')
+
+
+#: `run` on the probe's arguments, with an atexit handler that writes a line to {stream}
+ATEXIT_PROBE = """
+import atexit, sys
+atexit.register(lambda: sys.{stream}.write("atexit handler ran\\n"))
+sys.argv[0] = "revadder"
+from revadder.__main__ import run
+run()
+"""
+
+
+def test_process_runs_atexit_handlers_before_it_ends():
+    result = run_python("-c", ATEXIT_PROBE.format(stream="stderr"), "build", "ppkn", text=True)
+    assert (result.returncode, result.stderr) == (0, "atexit handler ran\n")
+    assert result.stdout == PPKN_DOC
+
+
+def test_in_process_run_leaves_the_collector_on():
+    assert invoke("build", "ppkn").exit_code == 0
+    assert gc.isenabled()
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "args", [["build", "ppkn"], ["compare"], ["build", "ppkn", "-o", "/dev/full"]],
+    ids=["build-stdout", "compare-stdout", "build-o"],
+)
+def test_output_that_cannot_be_written_is_usage_error(args):
+    with open("/dev/full", "wb") as full:
+        result = run_process(*args, stdout=full, text=True)
+    assert result.returncode == 2
+    assert result.stderr == "Error: [Errno 28] No space left on device\n"  # no traceback
+
+
+@needs_dev_full
+def test_failed_final_flush_is_usage_error(tmp_path: Path):
+    # the command writes only to -o; the handler's line reaches stdout's
+    # buffer after `main` returned, so only the final flush can fail
+    # (buffered: PYTHONUNBUFFERED would make the handler's own write fail)
+    target = tmp_path / "adder.net"
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        result = run_python(
+            "-c", ATEXIT_PROBE.format(stream="stdout"), "build", "ppkn", "-o", str(target),
+            stdout=full, env=env, text=True,
+        )
+    assert result.returncode == 2
+    assert result.stderr == "Error: [Errno 28] No space left on device\n"
+    assert target.read_text() == PPKN_DOC
 
 
 def test_build_rca_requires_bits():
@@ -364,6 +423,19 @@ def test_cli_start_up_loads_metrics_and_qasm_only_on_use():
         "unresolved": [],
         "unknown_resolves": False,
     }
+
+
+def test_library_import_loads_no_dataclasses():
+    # `import revadder` alone: what click imports depends on its version
+    probe = (
+        "import json, sys; before = set(sys.modules); import revadder; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    result = run_python("-c", probe, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert "revadder.core" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_public_surface_is_what_the_cli_and_benchmark_use():
