@@ -17,7 +17,9 @@ process of a pipeline waits for end of input.
 An `OSError` that escapes a command, or a final flush of stdout that
 fails (a full disk, `> /dev/full`), is an output that cannot be
 written: one `Error:` line on stderr and exit 2, as for an `-o` file
-that cannot be opened.
+that cannot be opened. So is a standard stream the process started
+without (`>&-`, `<&-`), once a command reads or writes it; a command
+that does not use it keeps its result.
 """
 from __future__ import annotations
 
@@ -27,10 +29,32 @@ import os
 import sys
 
 
+class _Closed:
+    """Stands in for a standard stream that is closed: click hands it to
+    a command as it is, and reading or writing it raises `OSError`."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def read(self, *args):
+        raise OSError(f"{self.name} is closed")
+
+    write = read
+
+    def flush(self) -> None:
+        pass  # nothing was written
+
+
 def run() -> None:
     """Run the CLI in this process and end the process with its exit status."""
     gc.disable()
     from .cli import EXIT_USAGE, main
+
+    # Python makes a stream None when its descriptor was closed at start
+    if sys.stdin is None:
+        sys.stdin = _Closed("standard input")
+    if sys.stdout is None:
+        sys.stdout = _Closed("standard output")
 
     error, status = None, 0
     try:
@@ -43,10 +67,11 @@ def run() -> None:
         error, status = exc, EXIT_USAGE
     atexit._run_exitfuncs()
     try:
-        if sys.stdout is not None:  # None when the process started with fd 1 closed
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
-        error, status = error or exc, EXIT_USAGE
+        # a pipe the command found broken fails again here: report it once
+        if status != EXIT_USAGE:
+            error, status = exc, EXIT_USAGE
     if sys.stderr is not None:
         try:
             if error is not None:

@@ -330,8 +330,8 @@ def verify_rca(
     layout: AdderLayout,
     mode: Literal["exhaustive", "random"] = "exhaustive",
     *,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = DEFAULT_SEED,
+    trials: int | None = None,
+    seed: int | None = None,
 ) -> VerificationReport:
     """Check an n-bit cascade against integer addition.
 
@@ -339,9 +339,12 @@ def verify_rca(
     (permitted for n <= 8); random mode samples `trials` seeded vectors,
     drawn line-major: one `trials`-bit word per line, a_0..a_{n-1}, then
     b_0..b_{n-1}, then cin, with trials x circuit width at most
-    `RANDOM_LANE_BITS`. Checked on every vector: all sum bits (which
-    live on the carry-in line and the intermediate ancillas), the final
-    carry, and bit-exact preservation of every A and B line.
+    `RANDOM_LANE_BITS`. `trials=None` is `DEFAULT_TRIALS`, lowered to
+    `RANDOM_LANE_BITS // circuit.width` where that is smaller (never
+    below 4,096, as a circuit has at most `MAX_LINES` lines), and
+    `seed=None` is `DEFAULT_SEED`. Checked on every vector: all sum bits
+    (which live on the carry-in line and the intermediate ancillas), the
+    final carry, and bit-exact preservation of every A and B line.
     """
     n = layout.n_bits
     lines = (layout.cin_line,) + layout.a_lines + layout.b_lines + layout.ancilla_lines
@@ -360,6 +363,8 @@ def verify_rca(
         masks = all_basis_states(2 * n + 1).words
         cin_word, a_words, b_words = masks[0], masks[1 : n + 1], masks[n + 1 :]
     elif mode == "random":
+        if trials is None:
+            trials = min(DEFAULT_TRIALS, RANDOM_LANE_BITS // circuit.width)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if trials * circuit.width > RANDOM_LANE_BITS:
@@ -367,7 +372,7 @@ def verify_rca(
                 f"random adder verification capped at {RANDOM_LANE_BITS} lane bits "
                 f"(trials x {circuit.width} lines), requested {trials} trials"
             )
-        rng = random.Random(seed)
+        rng = random.Random(DEFAULT_SEED if seed is None else seed)
         lanes = trials
         words = [rng.getrandbits(trials) for _ in range(2 * n + 1)]
         a_words, b_words, cin_word = words[:n], words[n : 2 * n], words[2 * n]

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification found counterexamples, 2 bad
 usage/flags or an output that cannot be written (an `-o` file that
-cannot be opened, or a write that fails, as on a full disk), 3 netlist
-not decodable as text or not parsable. File arguments accept `-` for
+cannot be opened, a write that fails, as on a full disk, or a reader
+that went away), 3 netlist not decodable as text or not parsable. File arguments accept `-` for
 standard input/output, so commands compose:
 
     revadder build ppkn | revadder metrics -
@@ -20,7 +20,6 @@ in-process entry point, for callers such as click's `CliRunner`.
 from __future__ import annotations
 
 import click
-from click.core import ParameterSource
 
 from .adders import (
     DEFAULT_SEED,
@@ -46,7 +45,21 @@ EXIT_PARSE_ERROR = 3
 MAX_RCA_BITS = (MAX_LINES - 1) // 3
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a reader that went away as an output that cannot be
+    written, exit 2; click's `main` would exit 1, the code for
+    counterexamples, with nothing on stderr."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = EXIT_USAGE
+            raise error from None
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Build, simulate, verify, and analyze reversible NCT adder circuits."""
 
@@ -133,16 +146,24 @@ def _layout_from_roles(circuit: Circuit) -> AdderLayout | None:
     return None
 
 
+class _SamplingOption(click.Option):
+    """A sampling flag that is None when not given, so that `verify_rca`
+    works out its value; the help still shows the default."""
+
+    def get_default(self, ctx: click.Context, call: bool = True):
+        return None if call else self.default
+
+
 @main.command()
 @click.argument("file", type=click.File("r"))
 @click.option("--mode", type=click.Choice(["auto", "exhaustive", "random"]),
               default="auto", help="Vector selection (auto: exhaustive when small).")
-@click.option("--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True,
-              help="Sample count in random mode.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Generator seed in random mode.")
+@click.option("--trials", cls=_SamplingOption, type=click.IntRange(min=1),
+              default=DEFAULT_TRIALS, show_default=True, help="Sample count in random mode.")
+@click.option("--seed", cls=_SamplingOption, type=int, default=DEFAULT_SEED,
+              show_default=True, help="Generator seed in random mode.")
 @click.pass_context
-def verify(ctx: click.Context, file, mode: str, trials: int, seed: int) -> None:
+def verify(ctx: click.Context, file, mode: str, trials: int | None, seed: int | None) -> None:
     """Check a netlist against integer addition; exit 1 on counterexamples."""
     circuit, layout = _read_document(ctx, file)
     if layout is None:
@@ -160,8 +181,8 @@ def verify(ctx: click.Context, file, mode: str, trials: int, seed: int) -> None:
     if n == 1 or mode == "exhaustive" and n <= EXHAUSTIVE_ADDER_BITS:
         sampling = ["--mode random"] if mode == "random" else []
         sampling += [
-            f"--{name}" for name in ("trials", "seed")
-            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE
+            f"--{name}" for name, value in (("trials", trials), ("seed", seed))
+            if value is not None
         ]
         if sampling:
             click.echo(

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import subprocess
@@ -148,6 +149,62 @@ def test_failed_final_flush_is_usage_error(tmp_path: Path):
         )
     assert result.returncode == 2
     assert result.stderr == "Error: [Errno 28] No space left on device\n"
+    assert target.read_text() == PPKN_DOC
+
+
+def run_to_gone_reader(*args, env):
+    """Run `python -m revadder ARGS` with stdout a pipe whose read end is
+    already closed, as when the next process of a pipeline has exited."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_process(*args, stdout=write_end, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize(
+    "args, buffered",
+    [(["build", "rca", "--bits", "2000"], False), (["build", "ppkn"], True), (["compare"], True)],
+    ids=["build-rca-2000", "build-ppkn-buffered", "compare-buffered"],
+)
+def test_reader_that_went_away_is_usage_error(args, buffered):
+    # click's own handling would exit 1, the code for counterexamples; with
+    # buffered stdout the final flush fails too, and is not reported again
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    result = run_to_gone_reader(*args, env=env)
+    assert result.returncode == 2
+    assert result.stderr == "Error: [Errno 32] Broken pipe\n"  # no traceback
+
+
+def run_with_closed(fd: int, *args, **kwargs):
+    """Run `python -m revadder ARGS` with descriptor `fd` closed, as the
+    shell's `<&-` (fd 0) or `>&-` (fd 1) does, so that Python makes that
+    standard stream None."""
+    script = f'exec "$0" -m revadder "$@" {fd}>&-'
+    kwargs = {"env": CLI_ENV, "stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run(["sh", "-c", script, sys.executable, *args], text=True, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "fd, args, stream",
+    [(1, ["build", "ppkn"], "output"), (0, ["verify", "-"], "input"), (1, ["compare"], "output")],
+    ids=["build-stdout", "verify-stdin", "compare-stdout"],
+)
+def test_closed_standard_stream_is_usage_error(fd, args, stream):
+    result = run_with_closed(fd, *args)
+    assert result.returncode == 2
+    assert result.stderr == f"Error: standard {stream} is closed\n"  # no traceback
+
+
+def test_closed_stream_the_command_does_not_use_keeps_its_result(tmp_path: Path):
+    result = run_with_closed(0, "build", "ppkn")
+    assert (result.returncode, result.stdout, result.stderr) == (0, PPKN_DOC, "")
+    target = tmp_path / "adder.net"
+    result = run_with_closed(1, "build", "ppkn", "-o", str(target))
+    assert (result.returncode, result.stderr) == (0, "")
     assert target.read_text() == PPKN_DOC
 
 
@@ -393,6 +450,15 @@ def test_verify_oversized_trials_is_usage_error(trials):
     assert f"capped at {RANDOM_LANE_BITS} lane bits" in result.stderr
 
 
+@pytest.mark.parametrize("bits, cases", [(8947, 10000), (8948, 9999)])
+def test_verify_default_sample_fits_the_lane_bit_cap(bits, cases):
+    # 3 * 8948 + 1 = 26,845 lines: 10,000 trials would exceed RANDOM_LANE_BITS,
+    # so the default sample, given no flag, is lowered to fit
+    result = invoke("verify", "-", input=serialize_netlist(*build_rca(bits)))
+    assert result.exit_code == 0
+    assert result.output == f"PASS: {cases} cases, 0 mismatches\n"
+
+
 STARTUP_PROBE = """
 import json, sys
 import revadder.cli
@@ -436,6 +502,36 @@ def test_library_import_loads_no_dataclasses():
     loaded = json.loads(result.stdout)
     assert "revadder.core" in loaded
     assert "dataclasses" not in loaded
+
+
+def test_export_table_files_each_name_under_its_defining_module():
+    # a name filed under a module that only imports it would still resolve,
+    # but would load the wrong module
+    table = revadder._EXPORTS
+    assert sum(map(len, table.values())) == len(revadder.__all__)
+    for module, names in table.items():
+        for name in names:
+            value = getattr(revadder, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == f"revadder.{module}", name
+
+
+#: a bare `import revadder`, then the submodules it resolves as attributes
+IMPORT_PROBE = """
+import json, sys
+import revadder
+loaded = sorted(m for m in sys.modules if m.startswith("revadder"))
+resolved = [getattr(revadder, m).__name__ for m in ("core", "adders", "netlist")]
+print(json.dumps({"loaded": loaded, "resolved": resolved}))
+"""
+
+
+def test_bare_import_loads_core_and_simulate_only():
+    result = run_python("-c", IMPORT_PROBE, text=True)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert probe["loaded"] == ["revadder", "revadder.core", "revadder.simulate"]
+    assert probe["resolved"] == ["revadder.core", "revadder.adders", "revadder.netlist"]
 
 
 def test_public_surface_is_what_the_cli_and_benchmark_use():
