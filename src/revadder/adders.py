@@ -342,9 +342,11 @@ def verify_rca(
     `RANDOM_LANE_BITS`. `trials=None` is `DEFAULT_TRIALS`, lowered to
     `RANDOM_LANE_BITS // circuit.width` where that is smaller (never
     below 4,096, as a circuit has at most `MAX_LINES` lines), and
-    `seed=None` is `DEFAULT_SEED`. Checked on every vector: all sum bits
-    (which live on the carry-in line and the intermediate ancillas), the
-    final carry, and bit-exact preservation of every A and B line.
+    `seed=None` is `DEFAULT_SEED`; exhaustive mode draws nothing, so it
+    refuses either one with `ValueError`. Checked on every vector: all
+    sum bits (which live on the carry-in line and the intermediate
+    ancillas), the final carry, and bit-exact preservation of every A and
+    B line.
     """
     n = layout.n_bits
     lines = (layout.cin_line,) + layout.a_lines + layout.b_lines + layout.ancilla_lines
@@ -357,6 +359,10 @@ def verify_rca(
             raise CapacityError(
                 f"exhaustive adder verification capped at {EXHAUSTIVE_ADDER_BITS} "
                 f"bits (2^{2 * EXHAUSTIVE_ADDER_BITS + 1} vectors), requested {n}"
+            )
+        if trials is not None or seed is not None:
+            raise ValueError(
+                f"exhaustive mode draws no vectors, got trials={trials}, seed={seed}"
             )
         # lane index encodes (cin, a, b) directly: j = cin | a<<1 | b<<(n+1)
         lanes = 1 << (2 * n + 1)

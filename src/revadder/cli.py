@@ -45,6 +45,14 @@ EXIT_PARSE_ERROR = 3
 MAX_RCA_BITS = (MAX_LINES - 1) // 3
 
 
+def _usage_error(message: str) -> click.ClickException:
+    """The one `Error: <message>` line on stderr with exit 2, and no usage
+    text, of a refused flag or an output that cannot be written."""
+    error = click.ClickException(message)
+    error.exit_code = EXIT_USAGE
+    return error
+
+
 class _Group(click.Group):
     """Reports a reader that went away as an output that cannot be
     written, exit 2; click's `main` would exit 1, the code for
@@ -54,9 +62,7 @@ class _Group(click.Group):
         try:
             return super().invoke(ctx)
         except BrokenPipeError as exc:
-            error = click.ClickException(str(exc))
-            error.exit_code = EXIT_USAGE
-            raise error from None
+            raise _usage_error(str(exc)) from None
 
 
 @click.group(cls=_Group)
@@ -77,18 +83,15 @@ def _read_document(ctx: click.Context, fh) -> tuple:
 @click.argument("kind", type=click.Choice(["ppkn", "hng", "rca"]))
 @click.option("--bits", type=int, default=None, help="Operand width (rca only).")
 @click.option("-o", "--output", type=click.File("w"), default="-", help="Destination file.")
-@click.pass_context
-def build(ctx: click.Context, kind: str, bits, output) -> None:
+def build(kind: str, bits, output) -> None:
     """Emit a built-in circuit as a netlist document."""
     if kind == "rca":
         if bits is None or bits < 1:
             raise click.UsageError("rca needs --bits N with N >= 1")
         if bits > MAX_RCA_BITS:
-            click.echo(
-                f"Error: rca --bits is capped at {MAX_RCA_BITS} "
-                f"({MAX_LINES} lines), got {bits}", err=True,
+            raise _usage_error(
+                f"rca --bits is capped at {MAX_RCA_BITS} ({MAX_LINES} lines), got {bits}"
             )
-            ctx.exit(EXIT_USAGE)
         circuit, layout = build_rca(bits)
     else:
         if bits is not None:
@@ -185,11 +188,10 @@ def verify(ctx: click.Context, file, mode: str, trials: int | None, seed: int | 
             if value is not None
         ]
         if sampling:
-            click.echo(
-                f"Error: {', '.join(sampling)} not allowed: a {n}-bit adder is "
-                f"checked on all {1 << (2 * n + 1)} rows", err=True,
+            raise _usage_error(
+                f"{', '.join(sampling)} not allowed: a {n}-bit adder is "
+                f"checked on all {1 << (2 * n + 1)} rows"
             )
-            ctx.exit(EXIT_USAGE)
     if n == 1:
         report = verify_full_adder(circuit, layout)
     else:

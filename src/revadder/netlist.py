@@ -10,18 +10,20 @@
 
 Lines end at LF, CR LF or CR only, as in text mode, so `#` starts a
 comment that runs to the end of its line. Blank lines are ignored.
-A declaration is checked in one order and its first failing check is
+Every statement reads a line index in any spelling `int` reads. A
+declaration is checked in one order and its first failing check is
 the error: usage, line index, range, duplicate, then an ancilla's `0`
 or an input's name; a bad output label is reported once the whole
 document is read. A gate's first bad token names its error.
 Undeclared lines default to named inputs q<idx>. Serialization is
 canonical (declarations in ascending line order, Toffoli controls
-ascending), so equal circuits produce byte-identical documents and every
-document round-trips.
+ascending), so equal circuits produce byte-identical documents, and it
+refuses what the parse would refuse, so every document it writes
+round-trips.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     GATE_KEYWORDS,
@@ -63,10 +65,31 @@ def _int_token(token: str, line_no: int, what: str) -> int:
         raise ParseError(f"expected {what}, got {token!r}", line_no) from None
 
 
-def _check_index(idx: int, width: int, line_no: int) -> int:
-    if idx < 0 or idx >= width:
+def _line_index(token: str, width: int, line_no: int) -> int:
+    """A line index the table of shortest spellings missed, in any spelling
+    `int` reads: `01`, `+1`, `1_0` or `\u0663`."""
+    idx = _int_token(token, line_no, "a line index")
+    if not 0 <= idx < width:
         raise ParseError(f"line index {idx} out of range for width {width}", line_no)
     return idx
+
+
+def _adder_layout(n_bits: int, roles: Sequence[LineRole]) -> AdderLayout:
+    """The canonical layout, if the roles keep its rule: 3n + 1 lines, whose
+    ancillas are exactly the layout's; else `StructuralError`, naming the
+    width or the first line that breaks it."""
+    width = len(roles)
+    if width != 3 * n_bits + 1:
+        raise StructuralError(
+            f"layout adder {n_bits} needs {3 * n_bits + 1} lines, document declares {width}"
+        )
+    layout = canonical_layout(n_bits)
+    ancillas = [line for line, role in enumerate(roles) if role.name is None]
+    if ancillas != list(layout.ancilla_lines):
+        line = min(set(ancillas).symmetric_difference(layout.ancilla_lines))
+        expected = "an input" if line in ancillas else "an ancilla"
+        raise StructuralError(f"layout adder {n_bits} expects line {line} to be {expected}")
+    return layout
 
 
 def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
@@ -130,10 +153,7 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
                 pass
             # Another spelling int reads, a bad token or a line used twice:
             # token by token, the first bad one names the error, then Gate.
-            indices = [
-                _check_index(_int_token(token, line_no, "a line index"), width, line_no)
-                for token in tokens[1:]
-            ]
+            indices = [_line_index(token, width, line_no) for token in tokens[1:]]
             try:
                 gate = Gate(tuple(indices[:-1]), indices[-1])
             except StructuralError as exc:
@@ -145,12 +165,8 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
             # checks in the docstring's order; the first to fail is the error
             if len(tokens) != 3 and (len(tokens) != 2 or keyword != "ancilla"):
                 raise ParseError(usage, line_no)
-            try:
-                idx = int(tokens[1], 10)
-            except ValueError:
-                idx = -1  # _int_token names the error
-            if not 0 <= idx < width:
-                _check_index(_int_token(tokens[1], line_no, "a line index"), width, line_no)
+            if (idx := index.get(tokens[1])) is None:
+                idx = _line_index(tokens[1], width, line_no)
             if keyword == "output":
                 if idx in outputs:
                     raise ParseError(f"line {idx} output already labeled", line_no)
@@ -208,21 +224,10 @@ def parse_netlist(text: str) -> tuple[Circuit, Optional[AdderLayout]]:
 
     layout = None
     if layout_bits is not None:
-        if width != 3 * layout_bits + 1:
-            raise ParseError(
-                f"layout adder {layout_bits} needs {3 * layout_bits + 1} lines, "
-                f"document declares {width}",
-                layout_line,
-            )
-        layout = canonical_layout(layout_bits)
-        ancillas = set(layout.ancilla_lines)
-        for line, role in enumerate(full_roles):
-            if role.is_ancilla != (line in ancillas):
-                expected = "an ancilla" if line in ancillas else "an input"
-                raise ParseError(
-                    f"layout adder {layout_bits} expects line {line} to be {expected}",
-                    layout_line,
-                )
+        try:
+            layout = _adder_layout(layout_bits, full_roles)
+        except StructuralError as exc:
+            raise ParseError(str(exc), layout_line) from None
 
     gates = tuple(Gate._many(controls, targets))
     return Circuit._many((width,), (full_roles,), (gates,))[0], layout
@@ -232,7 +237,8 @@ def serialize_netlist(circuit: Circuit, layout: Optional[AdderLayout] = None) ->
     """Canonical text form; deterministic bytes for a given circuit.
 
     Only the canonical cascade layout is expressible in the format, so a
-    non-canonical layout is rejected rather than silently dropped.
+    non-canonical layout is rejected rather than silently dropped, and so
+    are roles that break its rule, which the parse would refuse.
     """
     roles = circuit.roles
     lines = [f"lines {circuit.width}"]
@@ -243,6 +249,7 @@ def serialize_netlist(circuit: Circuit, layout: Optional[AdderLayout] = None) ->
     if layout is not None:
         if layout != canonical_layout(layout.n_bits):
             raise StructuralError("only the canonical adder layout is serializable")
+        _adder_layout(layout.n_bits, roles)
         lines.append(f"layout adder {layout.n_bits}")
     lines += [
         STATEMENT_TEMPLATES[len(c := gate.controls)] % (*c, gate.target)

@@ -94,9 +94,12 @@ def transpose(
     with `int.from_bytes`. Six word-wide delta swaps (fewer for smaller
     tiles) transpose every tile of a slab at once. The swapped slabs are
     joined into one buffer and read as tile-row words, word c being column
-    c's value, and ints are made only for the columns asked for. The cost
-    is linear in the matrix size. The column values of chunks past the
-    first are shifted and ORed into place.
+    c's value, and ints are made only for the columns asked for. The column
+    values of chunks past the first are shifted and ORed into place. The
+    tile work is linear in the matrix size, but that OR is not: each chunk
+    shifts values as wide as all the rows above it, so tall matrices cost
+    more per row (about 330 ns a row at 2^16 rows of 20 bits, 1,080 ns at
+    2^19, on a 2-vCPU VM).
 
     With `columns`, only those entries are returned, in that order:
     `result[k]` is the full result's entry `columns[k]`, each in

@@ -348,6 +348,18 @@ def test_rca_verify_argument_errors():
         verify_rca(c, canonical_layout(3))
 
 
+@pytest.mark.parametrize("sampling", [{"trials": 5}, {"seed": 9}, {"trials": 5, "seed": 9}])
+def test_rca_exhaustive_refuses_sampling_arguments(sampling):
+    # exhaustive mode draws nothing, so a sample size or seed would be ignored
+    c, layout = build_rca(3)
+    with pytest.raises(ValueError) as exc:
+        verify_rca(c, layout, "exhaustive", **sampling)
+    assert "exhaustive mode draws no vectors" in str(exc.value)
+    # past the cap, the cap is the error
+    with pytest.raises(CapacityError):
+        verify_rca(*build_rca(9), "exhaustive", **sampling)
+
+
 # ---------------------------------------------------------------- mutations
 
 

@@ -403,6 +403,22 @@ def test_verify_one_bit_document_rejects_sampling_flags(flags):
         assert flags[0] in result.stderr and rows in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, document, stderr",
+    [
+        (["build", "rca", "--bits", str(MAX_RCA_BITS + 1)], "",
+         f"Error: rca --bits is capped at {MAX_RCA_BITS} ({MAX_LINES} lines), "
+         f"got {MAX_RCA_BITS + 1}\n"),
+        (["verify", "-", "--trials", "5", "--seed", "3"], PPKN_DOC,
+         "Error: --trials, --seed not allowed: a 1-bit adder is checked on all 8 rows\n"),
+    ],
+    ids=["build-cap", "sampling-flags"],
+)
+def test_refused_flags_print_one_error_line(args, document, stderr):
+    result = run_process(*args, input=document, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", stderr)
+
+
 def test_verify_one_bit_document_in_exhaustive_mode_passes():
     result = invoke("verify", "-", "--mode", "exhaustive", input=PPKN_DOC)
     assert result.exit_code == 0
@@ -553,9 +569,11 @@ def test_public_surface_is_what_the_cli_and_benchmark_use():
 
 def test_verify_exhaustive_beyond_cap_is_usage_error():
     doc = invoke("build", "rca", "--bits", "9").output
-    result = invoke("verify", "-", "--mode", "exhaustive", input=doc)
-    assert result.exit_code == 2
-    assert "capped" in result.output
+    # the cap, not a sampling flag, is what a 9-bit exhaustive verify breaks
+    for flags in ([], ["--trials", "5"]):
+        result = invoke("verify", "-", "--mode", "exhaustive", *flags, input=doc)
+        assert result.exit_code == 2
+        assert "capped at 8 bits" in result.output
 
 
 def test_verify_auto_switches_to_random_for_wide_adders():

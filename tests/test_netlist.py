@@ -104,6 +104,27 @@ def test_serialize_rejects_noncanonical_layout():
         serialize_netlist(c, shuffled)
 
 
+def test_serialize_refuses_a_layout_its_roles_break():
+    # each document would be written, then refused by the parse at its
+    # layout line; serialize raises the parse's message
+    ppkn, _ = build_ppkn()
+    rca, layout = build_rca(2)
+    roles = list(rca.roles)
+    roles[3] = named("x")
+    cases = [
+        (ppkn, canonical_layout(2), "layout adder 2 needs 7 lines, document declares 4"),
+        (Circuit(7, roles, rca.gates), layout, "layout adder 2 expects line 3 to be an ancilla"),
+    ]
+    for circuit, bad_layout, message in cases:
+        with pytest.raises(StructuralError) as exc:
+            serialize_netlist(circuit, bad_layout)
+        assert str(exc.value) == message
+        document = serialize_netlist(circuit) + f"layout adder {bad_layout.n_bits}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_netlist(document)
+        assert exc.value.message == message
+
+
 @pytest.mark.parametrize(
     "text, line, fragment",
     [
