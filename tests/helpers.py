@@ -289,9 +289,9 @@ def _corpus_statement(rng: random.Random, width: int, odd: bool) -> list[str]:
     """The tokens of one random statement of a `width`-line document."""
     roll = rng.randrange(16 if odd else 13)
     if roll < 7:
-        keyword = ("not", "cnot", "toffoli")[rng.randrange(min(width, 3))]
-        n = ("not", "cnot", "toffoli").index(keyword) + 1
+        n = 1 + rng.randrange(min(width, 3))
         lines = _corpus_lines(rng, width, n, odd)
+        keyword = ("not", "cnot", "toffoli")[n - 1]
         return [keyword] + [_corpus_index(rng, line, width, odd) for line in lines]
     idx = _corpus_index(rng, rng.randrange(width), width, odd)
     names = _CORPUS_NAMES if odd else _CORPUS_NAMES[:-2]
