@@ -30,6 +30,7 @@ from revadder import (
 )
 from revadder.adders import RANDOM_LANE_BITS, _ripple_words, _set_bit_positions
 
+from corpus import DELETION_SEED, DELETION_TRIALS, deletion_digest
 from helpers import (
     bits_to_int,
     encode_input,
@@ -566,6 +567,19 @@ def test_failing_reports_at_32_bits_are_pinned():
         digest.update(repr(report).encode())
     assert sum(len(r.mismatches) for r in reports) == 41317
     assert digest.hexdigest() == FAILING_REPORTS_SHA256
+
+
+#: sha256 of the reprs of every single-gate deletion's reports at 1 to 5
+#: bits, exhaustive and sampled, and their failing rows and mismatches;
+#: a change meant to alter a report updates these and says why in CHANGES.md
+DELETION_DIGEST = "9b39f451dd13822b1496c5c72f3486175cc181d2169127fd5a10066fd94dac06"
+DELETION_ROWS, DELETION_MISMATCHES = 51826, 77429
+
+
+def test_single_gate_deletion_reports_are_pinned():
+    digest, rows, mismatches = deletion_digest(DELETION_TRIALS, DELETION_SEED)
+    assert (rows, mismatches) == (DELETION_ROWS, DELETION_MISMATCHES)
+    assert digest == DELETION_DIGEST
 
 
 def _set_bit_positions_reference(word: int) -> list:

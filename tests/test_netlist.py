@@ -1,4 +1,3 @@
-import hashlib
 import re
 
 import pytest
@@ -25,7 +24,8 @@ from revadder import (
 from revadder.core import MAX_LINES, describe_gate
 from revadder.metrics import render_metrics_text
 
-from helpers import circuits_st, identifiers, netlist_corpus
+from corpus import CORPUS_SEED, CORPUS_SIZE, corpus_digests
+from helpers import circuits_st, identifiers
 
 PPKN_DOC = """\
 lines 4
@@ -457,7 +457,6 @@ def test_parse_fuzz_raises_only_parse_errors_and_round_trips(text):
 
 # ------------------------------------------------------- pinned corpus
 
-CORPUS_SEED, CORPUS_SIZE = 29, 10_000
 #: sha256 of the corpus documents: the generator draws them alike on every
 #: Python version, and this tells a changed corpus from a changed parse
 CORPUS_TEXT_DIGEST = "8dc88173548f4ca7edb6486efbe59dd1aa84562670e536fe77f30b920dd859ed"
@@ -468,25 +467,8 @@ CORPUS_DIGEST = "701e8028371dbf101a0c92a6d1174d35f1f70379ece47e56501ebac2dec5eff
 CORPUS_PARSED, CORPUS_REFUSED = 5189, 4811
 
 
-def corpus_result(text: str) -> str:
-    """A document's outcome as text: its error's line and message, or its
-    netlist, QASM and metrics text."""
-    try:
-        circuit, layout = parse_netlist(text)
-    except ParseError as exc:
-        return f"refused: line {exc.line}: {exc.message}\n"
-    report = render_metrics_text(analyze(circuit), circuit)
-    return serialize_netlist(circuit, layout) + export_qasm(circuit) + report
-
-
 def test_seeded_corpus_parses_as_pinned():
-    texts, digest = hashlib.sha256(), hashlib.sha256()
-    refused = 0
-    for text in netlist_corpus(CORPUS_SEED, CORPUS_SIZE):
-        texts.update(text.encode() + b"\0")
-        result = corpus_result(text)
-        refused += result.startswith("refused: ")
-        digest.update(result.encode() + b"\0")
-    assert texts.hexdigest() == CORPUS_TEXT_DIGEST
-    assert (CORPUS_SIZE - refused, refused) == (CORPUS_PARSED, CORPUS_REFUSED)
-    assert digest.hexdigest() == CORPUS_DIGEST
+    texts, digest, parsed, refused = corpus_digests(CORPUS_SEED, CORPUS_SIZE)
+    assert texts == CORPUS_TEXT_DIGEST
+    assert (parsed, refused) == (CORPUS_PARSED, CORPUS_REFUSED)
+    assert digest == CORPUS_DIGEST
