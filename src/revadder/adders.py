@@ -105,6 +105,21 @@ class AdderLayout(_Frozen):
         return 3 * self.n_bits + 1
 
 
+def _check_roles(layout: AdderLayout, roles: Sequence[LineRole]) -> None:
+    """Refuse roles that break the layout: its lines exist, its ancilla
+    lines are ancillas and its operand lines are not. The `StructuralError`
+    names the width or the lowest line that breaks the rule."""
+    operands = (layout.cin_line,) + layout.a_lines + layout.b_lines
+    if (top := max(*operands, *layout.ancilla_lines)) >= len(roles):
+        raise StructuralError(f"layout uses line {top}, circuit width is {len(roles)}")
+    wrong = [line for line in operands if roles[line].name is None]
+    wrong += [line for line in layout.ancilla_lines if roles[line].name is not None]
+    if wrong:
+        line = min(wrong)
+        expected = "an ancilla" if line in layout.ancilla_lines else "an input"
+        raise StructuralError(f"layout adder {layout.n_bits} expects line {line} to be {expected}")
+
+
 def _ppkn_block(cin: int, a: int, b: int, anc: int) -> tuple[tuple, tuple]:
     """The controls and the targets of the 6-gate adder block, gate by gate.
 
@@ -341,19 +356,16 @@ def verify_rca(
     b_0..b_{n-1}, then cin, with trials x circuit width at most
     `RANDOM_LANE_BITS`. `trials=None` is `DEFAULT_TRIALS`, lowered to
     `RANDOM_LANE_BITS // circuit.width` where that is smaller (never
-    below 4,096, as a circuit has at most `MAX_LINES` lines), and
-    `seed=None` is `DEFAULT_SEED`; exhaustive mode draws nothing, so it
-    refuses either one with `ValueError`. Checked on every vector: all
-    sum bits (which live on the carry-in line and the intermediate
-    ancillas), the final carry, and bit-exact preservation of every A and
-    B line.
+    below 4,096 for a circuit a netlist can declare, which has at most
+    `MAX_LINES` lines), and `seed=None` is `DEFAULT_SEED`; exhaustive
+    mode draws nothing, so it refuses either one with `ValueError`.
+    Checked on every vector: all sum bits (which live on the carry-in
+    line and the intermediate ancillas), the final carry, and bit-exact
+    preservation of every A and B line. Roles that break the layout's
+    rule (`_check_roles`) are refused first with `StructuralError`.
     """
     n = layout.n_bits
-    lines = (layout.cin_line,) + layout.a_lines + layout.b_lines + layout.ancilla_lines
-    if max(lines) >= circuit.width:
-        raise StructuralError(
-            f"layout uses line {max(lines)}, circuit width is {circuit.width}"
-        )
+    _check_roles(layout, circuit.roles)
     if mode == "exhaustive":
         if n > EXHAUSTIVE_ADDER_BITS:
             raise CapacityError(
@@ -392,15 +404,13 @@ def verify_full_adder(circuit: Circuit, layout: AdderLayout) -> VerificationRepo
 
     A full adder is the one-bit cascade, so `verify_rca`'s exhaustive
     word oracle checks Sum on the carry-in line, Cout on the ancilla and
-    both operand lines preserved; the Cout line must be a constant-0
-    ancilla. Mismatches are listed by (a, b, cin), then sum, cout, a, b.
+    both operand lines preserved, and it refuses roles that break the
+    layout. Mismatches are listed by (a, b, cin), then sum, cout, a, b.
     The report also carries a full basis-state bijectivity result.
     """
     if layout.n_bits != 1:
         raise StructuralError(f"a full adder has 1 bit, layout has {layout.n_bits}")
     report = verify_rca(circuit, layout, "exhaustive")
-    if not circuit.roles[layout.cout_line].is_ancilla:
-        raise StructuralError(f"line {layout.cout_line} must be a constant-0 ancilla")
     order = ("sum", "cout", "a", "b")
     mismatches = sorted(
         report.mismatches, key=lambda m: (m.a, m.b, m.cin, order.index(m.quantity))

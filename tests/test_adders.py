@@ -149,6 +149,51 @@ def test_verify_full_adder_requires_ancilla_role():
         verify_full_adder(c, AdderLayout(1, 3, (1,), (2,), (0,)))
 
 
+def _with_role(n: int, line: int, role):
+    """The n-bit cascade with one line's role replaced."""
+    circuit, layout = build_rca(n)
+    roles = circuit.roles[:line] + (role,) + circuit.roles[line + 1 :]
+    return Circuit(circuit.width, roles, circuit.gates), layout
+
+
+@pytest.mark.parametrize(
+    "n, line, role, expected",
+    [
+        (1, 3, named("X"), "an ancilla"),  # the Cout line
+        (2, 3, named("X"), "an ancilla"),  # block 0's carry into block 1
+        (2, 6, named("X"), "an ancilla"),
+        (1, 1, ancilla(), "an input"),  # A0
+        (1, 0, ancilla(), "an input"),  # Cin
+        (2, 4, ancilla(), "an input"),  # A1
+        (2, 5, ancilla(), "an input"),  # B1
+    ],
+)
+def test_verify_rca_refuses_roles_that_break_the_layout(n, line, role, expected):
+    circuit, layout = _with_role(n, line, role)
+    message = f"layout adder {n} expects line {line} to be {expected}"
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(StructuralError) as exc:
+            verify_rca(circuit, layout, mode)
+        assert str(exc.value) == message
+    if n == 1:
+        with pytest.raises(StructuralError) as exc:
+            verify_full_adder(circuit, layout)
+        assert str(exc.value) == message
+
+
+def test_verify_rca_names_the_lowest_line_that_breaks_the_layout():
+    circuit, layout = _with_role(2, 6, named("X"))
+    roles = circuit.roles[:4] + (ancilla(),) + circuit.roles[5:]
+    with pytest.raises(StructuralError, match="^layout adder 2 expects line 4 to be an input$"):
+        verify_rca(Circuit(7, roles, circuit.gates), layout)
+
+
+def test_verify_rca_refuses_a_layout_line_the_circuit_lacks():
+    circuit, _ = build_rca(1)
+    with pytest.raises(StructuralError, match="^layout uses line 6, circuit width is 4$"):
+        verify_rca(circuit, canonical_layout(2))
+
+
 def test_verify_full_adder_rejects_wider_layouts():
     with pytest.raises(StructuralError):
         verify_full_adder(*build_rca(2))

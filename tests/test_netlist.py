@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from revadder import (
     AdderLayout,
+    CapacityError,
     Circuit,
     Gate,
     ParseError,
@@ -123,6 +124,24 @@ def test_serialize_refuses_a_layout_its_roles_break():
         with pytest.raises(ParseError) as exc:
             parse_netlist(document)
         assert exc.value.message == message
+
+
+def test_serialize_refuses_a_width_the_parse_would_refuse():
+    # the parse refuses `lines 65537` at line 1, so nothing is written
+    message = f"width is capped at {MAX_LINES} lines, got {MAX_LINES + 1}"
+    with pytest.raises(ParseError) as exc:
+        parse_netlist(f"lines {MAX_LINES + 1}\n")
+    assert (exc.value.line, exc.value.message) == (1, message)
+    gateless = Circuit(MAX_LINES + 1, [named("x")] * (MAX_LINES + 1))
+    with pytest.raises(CapacityError) as exc:
+        serialize_netlist(gateless)
+    assert str(exc.value) == message
+    # the first cascade above the cap, 3 * 21846 + 1 lines, with its layout
+    with pytest.raises(CapacityError) as exc:
+        serialize_netlist(*build_rca(21846))
+    assert str(exc.value) == f"width is capped at {MAX_LINES} lines, got 65539"
+    widest = Circuit(MAX_LINES, [named("x")] * MAX_LINES)
+    assert serialize_netlist(widest).startswith(f"lines {MAX_LINES}\ninput 0 x\n")
 
 
 @pytest.mark.parametrize(
