@@ -187,14 +187,10 @@ def corpus_digests(seed: int, count: int) -> tuple[str, str, int, int]:
 
 # ------------------------------------------------- single-gate deletions
 
-#: the cascade widths whose every single-gate deletion is verified
-DELETION_BITS = range(1, 6)
-
-
 def deletion_reports(trials: int, seed: int):
-    """The report of every single-gate deletion of every `DELETION_BITS`
-    cascade: exhaustive, then `trials` vectors drawn from `seed`."""
-    for n in DELETION_BITS:
+    """The report of every single-gate deletion of the 1- to 5-bit
+    cascades: exhaustive, then `trials` vectors drawn from `seed`."""
+    for n in range(1, 6):
         circuit, layout = build_rca(n)
         gates = circuit.gates
         for index in range(len(gates)):
@@ -216,10 +212,7 @@ def deletion_digest(trials: int, seed: int) -> tuple[str, int, int]:
 
 
 if __name__ == "__main__":
-    import sys
-
     text_digest, result_digest, parsed, refused = corpus_digests(CORPUS_SEED, CORPUS_SIZE)
-    print(f"Python {sys.version.split()[0]}")
     print(f"corpus documents {text_digest}")
     print(f"corpus results   {result_digest} ({parsed} parsed, {refused} refused)")
     digest, rows, mismatches = deletion_digest(DELETION_TRIALS, DELETION_SEED)
